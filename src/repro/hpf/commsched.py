@@ -1,29 +1,28 @@
 """Static communication planning: vectorization + aggregation (Section 5).
 
-Given a resolved multipartitioned distribution and a sweep direction, this
-module computes — *without running anything* — the exact message pattern the
-runtime will execute: per phase, which rank sends how many bytes to which
-rank, with or without aggregation.  Three facts from the paper make the plan
-small and regular:
+Given a resolved multipartitioned distribution and a sweep direction or a
+stencil reach, this module computes — *without running anything* — the
+exact message pattern the runtime will execute: per phase, which rank sends
+how many elements to which rank.  Each plan is a fold over the sends of the
+compiled schedule (:mod:`repro.sweep.compile`), the same per-rank op lists
+the simulator executes, so the plan is the runtime's pattern by
+construction.  Three facts from the paper make the plan small and regular:
 
 * **balance** — every rank computes in every phase;
 * **neighbor** — all of a rank's carries in one phase go to one rank, so a
   fully-vectorized shift is ONE message per rank per phase;
 * loop-carried sweep dependences are vectorized across the hyper-rectangular
   slab, never sent tile by tile.
-
-The planner is cross-checked in the tests against the message counts the
-simulator actually produces.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from repro.core.mapping import Multipartitioning
-from repro.sweep.tiles import TileGrid
+from repro.simmpi.machine import MachineModel
+from repro.sweep.compile import ITEMSIZE, ScheduleCompiler
+from repro.sweep.ops import StencilOp, SweepOp
 
 __all__ = [
     "PlannedMessage",
@@ -66,6 +65,31 @@ class SweepCommPlan:
         return tuple(m for m in self.messages if m.phase == phase)
 
 
+def _planned(
+    partitioning: Multipartitioning,
+    shape: tuple[int, ...],
+    op,
+    aggregate: bool = True,
+) -> tuple[PlannedMessage, ...]:
+    """The compiled sends of the one-op schedule ``[op]``, ordered by phase
+    then source rank.  Compute charges play no part, so any machine
+    compiles the same sends."""
+    compiled = ScheduleCompiler(
+        partitioning, shape, MachineModel(), aggregate
+    ).compile([op])
+    messages = [
+        PlannedMessage(
+            phase=site.phase,
+            source=rank,
+            dest=send.dest,
+            tiles=len(site.tiles),
+            elements=send.payload.nbytes // ITEMSIZE,
+        )
+        for rank, send, site in compiled.sends()
+    ]
+    return tuple(sorted(messages, key=lambda m: m.phase))
+
+
 def plan_sweep_comm(
     partitioning: Multipartitioning,
     shape: tuple[int, ...],
@@ -79,54 +103,15 @@ def plan_sweep_comm(
     communication phase (to its unique downstream neighbor); otherwise one
     message per tile boundary.
     """
-    mp = partitioning
-    grid = TileGrid(tuple(shape), mp.gammas)
     axis %= len(shape)
-    gamma = mp.gammas[axis]
-    send_dir = -1 if reverse else +1
-    slab_order = list(mp.slabs(axis, reverse=reverse))
-
-    messages: list[PlannedMessage] = []
-    for phase, slab in enumerate(slab_order[:-1]):
-        for rank in range(mp.nprocs):
-            tiles = mp.tiles_of_in_slab(rank, axis, slab)
-            if not tiles:
-                raise AssertionError(
-                    "balance property violated: empty slab for a rank"
-                )
-            dest = mp.neighbor_rank(rank, axis, send_dir)
-            plane_elems = [
-                int(np.prod(
-                    [s for a, s in enumerate(grid.tile_shape(t)) if a != axis]
-                ))
-                for t in tiles
-            ]
-            if aggregate:
-                messages.append(
-                    PlannedMessage(
-                        phase=phase,
-                        source=rank,
-                        dest=dest,
-                        tiles=len(tiles),
-                        elements=sum(plane_elems),
-                    )
-                )
-            else:
-                for t, elems in zip(tiles, plane_elems):
-                    messages.append(
-                        PlannedMessage(
-                            phase=phase,
-                            source=rank,
-                            dest=dest,
-                            tiles=1,
-                            elements=elems,
-                        )
-                    )
     return SweepCommPlan(
         axis=axis,
         reverse=reverse,
-        phases=gamma,
-        messages=tuple(messages),
+        phases=partitioning.gammas[axis],
+        messages=_planned(
+            partitioning, shape, SweepOp(axis=axis, reverse=reverse),
+            aggregate,
+        ),
     )
 
 
@@ -151,66 +136,18 @@ def plan_stencil_comm(
     partitioning: Multipartitioning,
     shape: tuple[int, ...],
     reach: tuple[tuple[int, int], ...],
-    aggregate: bool = True,
 ) -> StencilCommPlan:
     """Static halo plan for a star stencil of the given per-axis reach.
 
-    With aggregation: one message per (rank, axis, side) whose axis is cut
-    and whose side has positive reach — this is what the neighbor property
-    buys for shadow fills too.  ``phase`` encodes ``2 * axis + side``.
+    One aggregated message per (rank, axis, side) whose axis is cut and
+    whose side has positive reach — this is what the neighbor property buys
+    for shadow fills too.  ``phase`` encodes ``2 * axis + side``.
     """
-    mp = partitioning
-    grid = TileGrid(tuple(shape), mp.gammas)
     if len(reach) != len(shape):
         raise ValueError("reach must have one (lo, hi) pair per axis")
-    messages: list[PlannedMessage] = []
-    for axis in range(len(shape)):
-        if mp.gammas[axis] == 1:
-            continue
-        for side, (step, width) in enumerate(
-            ((+1, reach[axis][0]), (-1, reach[axis][1]))
-        ):
-            if width == 0:
-                continue
-            for rank in range(mp.nprocs):
-                dest = mp.neighbor_rank(rank, axis, step)
-                tiles = [
-                    t
-                    for t in mp.tiles_of(rank)
-                    if 0 <= t[axis] + step < mp.gammas[axis]
-                ]
-                elems = [
-                    width
-                    * int(
-                        np.prod(
-                            [
-                                s
-                                for a, s in enumerate(grid.tile_shape(t))
-                                if a != axis
-                            ]
-                        )
-                    )
-                    for t in tiles
-                ]
-                if aggregate:
-                    messages.append(
-                        PlannedMessage(
-                            phase=2 * axis + side,
-                            source=rank,
-                            dest=dest,
-                            tiles=len(tiles),
-                            elements=sum(elems),
-                        )
-                    )
-                else:
-                    for t, e in zip(tiles, elems):
-                        messages.append(
-                            PlannedMessage(
-                                phase=2 * axis + side,
-                                source=rank,
-                                dest=dest,
-                                tiles=1,
-                                elements=e,
-                            )
-                        )
-    return StencilCommPlan(reach=tuple(reach), messages=tuple(messages))
+    reach = tuple(reach)
+    # planning never runs the stencil kernel
+    op = StencilOp(fn=None, reach=reach)  # type: ignore[arg-type]
+    return StencilCommPlan(
+        reach=reach, messages=_planned(partitioning, shape, op)
+    )

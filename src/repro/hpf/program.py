@@ -238,7 +238,6 @@ def compile_program(
                         resolution.plan.partitioning,
                         shape,
                         stmt.reach,
-                        aggregate=True,
                     )
                 )
         elif isinstance(stmt, PointwiseStmt):

@@ -680,9 +680,8 @@ class Engine:
     def _advance(self, rank: int, state: _RankState) -> None:
         """Drive one rank until it finishes or blocks on an empty receive.
 
-        Ops dispatch on their exact class (the common case — the dataclasses
-        in :mod:`repro.simmpi.message`); subclasses take the isinstance
-        fallback so user-defined specializations keep working.
+        Ops dispatch on their exact class: the four primitive dataclasses
+        of :mod:`repro.simmpi.message`; anything else is rejected.
         """
         gen_send = state.gen.send
         fast = self._fast and self._faults is None
@@ -709,17 +708,6 @@ class Engine:
             elif cls is ComputeOp:
                 self._do_compute(rank, state, op)
             elif cls is MarkOp:
-                self._do_mark(rank, state, op)
-            elif isinstance(op, SendOp):
-                self._do_send(rank, state, op)
-            elif isinstance(op, RecvOp):
-                if not self._try_recv(rank, state, op):
-                    state.blocked = op
-                    self._waiting_src[rank] = op.source
-                    return
-            elif isinstance(op, ComputeOp):
-                self._do_compute(rank, state, op)
-            elif isinstance(op, MarkOp):
                 self._do_mark(rank, state, op)
             else:
                 raise TypeError(

@@ -2,32 +2,26 @@
 
 A rank program is a generator that yields the primitive ops of
 :mod:`repro.simmpi.message`.  The engine *interprets* that stream against
-virtual time; the static verifier (:mod:`repro.verify`) instead wants the
-stream itself — every send/recv/compute/mark a rank would issue, without
-running the engine, advancing clocks, or touching any payload data.
+virtual time; :func:`record_ops` instead returns the stream itself — every
+send/recv/compute/mark a rank would issue, without running the engine,
+advancing clocks, or touching any payload data.  Benchmarks use it to time
+rank-program generation apart from the engine.
 
 :func:`record_ops` drives one generator to completion in isolation, feeding
 a placeholder value into every blocking receive.  That is only sound for
-programs whose *control flow* does not depend on received payloads —
-exactly the contract of the executor's skeleton programs
+programs whose *control flow* does not depend on received payloads, such as
+the executor's skeleton programs
 (:meth:`repro.sweep.multipart.MultipartExecutor.skeleton_rank_program`),
-which derive every decision from tile geometry alone.
+which replay a compiled op list.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator
 
-from .message import (
-    ANY_TAG,
-    ComputeOp,
-    MarkOp,
-    RecvOp,
-    SendOp,
-    payload_nbytes,
-)
+from .message import ComputeOp, MarkOp, RecvOp, SendOp
 
-__all__ = ["record_ops", "op_metadata"]
+__all__ = ["record_ops"]
 
 #: Primitive op classes a well-formed rank program may yield.
 _PRIMITIVE_OPS = (SendOp, RecvOp, ComputeOp, MarkOp)
@@ -65,25 +59,3 @@ def record_ops(
             )
         value = recv_value if isinstance(op, RecvOp) else None
 
-
-def op_metadata(op: object) -> dict:
-    """JSON-ready description of one primitive op — the witness vocabulary
-    shared by the verifier's diagnostics."""
-    if isinstance(op, SendOp):
-        return {
-            "kind": "send",
-            "dest": op.dest,
-            "tag": op.tag,
-            "nbytes": payload_nbytes(op.payload),
-        }
-    if isinstance(op, RecvOp):
-        return {
-            "kind": "recv",
-            "source": op.source,
-            "tag": "ANY" if op.tag == ANY_TAG else op.tag,
-        }
-    if isinstance(op, ComputeOp):
-        return {"kind": "compute", "seconds": op.seconds, "points": op.points}
-    if isinstance(op, MarkOp):
-        return {"kind": "mark", "label": op.label}
-    raise TypeError(f"not a primitive op: {op!r}")

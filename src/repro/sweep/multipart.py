@@ -1,4 +1,4 @@
-"""Distributed line sweeps over a multipartitioned array (real-data mode).
+"""Distributed line sweeps over a multipartitioned array.
 
 Each simulated rank owns the tiles its :class:`Multipartitioning` assigns it.
 A sweep along axis ``i`` proceeds slab by slab: every rank computes the scan
@@ -10,27 +10,31 @@ the communication-vectorization the dHPF compiler performs (Section 5).
 Setting ``aggregate=False`` sends one message per tile instead (the ablation
 of that optimization).
 
-The executor runs any :mod:`repro.sweep.ops` schedule and returns both the
-reassembled global array (verified against the sequential reference in the
-tests) and the simulator's :class:`RunResult` (virtual time, message and
-byte counts).
+The executor compiles a :mod:`repro.sweep.ops` schedule once into per-rank
+op lists (:mod:`repro.sweep.compile`) and runs it in one of two modes over
+that same compiled program:
 
-**Skeleton mode** (``payload="skeleton"``, or :meth:`MultipartExecutor
-.run_skeleton` directly) replays exactly the same rank programs — identical
-op sequence, message counts, tags, byte counts, phases, and therefore
-virtual clocks/makespan, pinned bit-for-bit by ``tests/sweep/
-test_skeleton.py`` — but sends only declared byte counts
-(:class:`~repro.simmpi.message.Bytes`) and derives per-slab compute times
-from tile geometry instead of touching numpy data.  No scatter, scan, or
-gather happens, which is what lets class-A/B (64^3 / 102^3) problems at
-p <= 64 simulate in seconds: the paper's Table 1 claims are about
-communication structure and timing, none of which needs the payload data.
+* **real-data mode** (``payload="data"``) interprets each rank's ops: the
+  numpy kernels run at compute entries and the carry/halo payloads are
+  packed at sends and unpacked at receives.  It returns both the
+  reassembled global array (verified against the sequential reference in
+  the tests) and the simulator's :class:`RunResult` (virtual time, message
+  and byte counts).
+* **skeleton mode** (``payload="skeleton"``, or :meth:`MultipartExecutor
+  .run_skeleton` directly) replays the compiled ops as they are: declared
+  byte counts (:class:`~repro.simmpi.message.Bytes`) and compute charges
+  from tile geometry, no scatter, scan or gather.  That is what lets
+  class-A/B (64^3 / 102^3) problems at p <= 64 simulate in seconds: the
+  paper's Table 1 claims are about communication structure and timing,
+  none of which needs the payload data.
+
+Both modes issue the identical op sequence, so their clocks, makespan,
+message counts and byte totals agree bit for bit by construction.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from math import prod
 from typing import Generator
 
 import numpy as np
@@ -42,31 +46,20 @@ from repro.faults.protocol import ProtocolConfig, ReliableComm
 from repro.simmpi.comm import Comm
 from repro.simmpi.engine import run_programs
 from repro.simmpi.machine import MachineModel
-from repro.simmpi.message import Bytes
+from repro.simmpi.message import RecvOp, SendOp
 from repro.simmpi.trace import RunResult
 
+from .compile import CompiledSchedule, ScheduleCompiler, Site, neighbor_tile
 from .ops import (
     BinaryPointwiseOp,
     BlockSweepOp,
     CopyOp,
-    PointwiseOp,
     StencilOp,
     SweepOp,
     scan_op,
 )
-from .tiles import TileGrid
 
 __all__ = ["MultipartExecutor"]
-
-#: distributed blocks are always float64 (scatter casts on entry)
-_ITEMSIZE = 8
-
-
-def _tile_linear_index(tile: tuple[int, ...], gammas: tuple[int, ...]) -> int:
-    idx = 0
-    for t, g in zip(tile, gammas):
-        idx = idx * g + t
-    return idx
 
 
 class _CarryPayload:
@@ -74,8 +67,8 @@ class _CarryPayload:
 
     Declares a *structural* wire size — the plane buffers only, matching
     what an MPI implementation would put on the wire for the vectorized
-    carry message (coords are tiny metadata) and what skeleton mode can
-    recompute from tile geometry alone."""
+    carry message (coords are tiny metadata) and what the compiler
+    computes from tile geometry alone."""
 
     __slots__ = ("coords", "planes", "nbytes")
 
@@ -130,7 +123,6 @@ class MultipartExecutor:
                 "reliable-delivery protocol (pass protocol=ProtocolConfig())"
             )
         self.partitioning = partitioning
-        self.grid = TileGrid(tuple(shape), partitioning.gammas)
         self.machine = machine
         self.aggregate = aggregate
         self.record_events = record_events
@@ -140,7 +132,11 @@ class MultipartExecutor:
         self.protocol = protocol
         # ops' phase annotations / marks only matter when someone observes
         # them: the in-memory trace or a streaming sink
-        self._emit_marks = record_events or bool(self.sinks)
+        self._compiler = ScheduleCompiler(
+            partitioning, shape, machine, aggregate,
+            marks=record_events or bool(self.sinks),
+        )
+        self.grid = self._compiler.grid
 
     # -- fault / protocol plumbing --------------------------------------------
 
@@ -160,27 +156,40 @@ class MultipartExecutor:
         yield from comm.finalize()
         return result
 
-    def _injector(self) -> "FaultInjector | None":
-        if self.faults is None:
-            return None
-        return FaultInjector(self.faults, self.partitioning.nprocs)
-
-    @staticmethod
-    def _attach_protocol_stats(
-        result: RunResult, comms: "list[Comm]"
-    ) -> RunResult:
-        """Fold per-rank :class:`ReliableComm` counters into the result."""
-        keys = comms[0].stats  # type: ignore[attr-defined]
-        aggregated = {
+    def _execute(self, comms: "list[Comm]", programs: list) -> RunResult:
+        """Run the rank programs on the engine, with the fault injector and
+        the protocol's finalization and counters when configured."""
+        if self.protocol is not None:
+            programs = [
+                self._finalized(comm, prog)
+                for comm, prog in zip(comms, programs)
+            ]
+        injector = (
+            None if self.faults is None
+            else FaultInjector(self.faults, self.partitioning.nprocs)
+        )
+        result = run_programs(
+            self.machine, programs, record_events=self.record_events,
+            sinks=self.sinks, faults=injector,
+        )
+        if self.protocol is None:
+            return result
+        # fold per-rank ReliableComm counters into the result
+        stats = {
             key: sum(
                 comm.stats[key]  # type: ignore[attr-defined]
                 for comm in comms
             )
-            for key in keys
+            for key in comms[0].stats  # type: ignore[attr-defined]
         }
-        return dataclasses.replace(result, protocol_stats=aggregated)
+        return dataclasses.replace(result, protocol_stats=stats)
 
     # -- public API -----------------------------------------------------------
+
+    def compile(self, schedule) -> CompiledSchedule:
+        """Every rank's op list for ``schedule`` (see
+        :mod:`repro.sweep.compile`)."""
+        return self._compiler.compile(schedule)
 
     def run(self, arrays, schedule) -> "tuple":
         """Distribute the array(s), execute ``schedule`` on all simulated
@@ -205,22 +214,12 @@ class MultipartExecutor:
             scattered = self.grid.scatter(array, mp.owner, mp.nprocs)
             for rank in range(mp.nprocs):
                 per_rank_named[rank][name] = scattered[rank]
+        compiled = self.compile(schedule)
         comms = [self._make_comm(rank) for rank in range(mp.nprocs)]
-        programs = [
-            self._rank_program(comms[rank], per_rank_named[rank], schedule)
+        result = self._execute(comms, [
+            self._interpret(comms[rank], compiled, per_rank_named[rank])
             for rank in range(mp.nprocs)
-        ]
-        if self.protocol is not None:
-            programs = [
-                self._finalized(comm, prog)
-                for comm, prog in zip(comms, programs)
-            ]
-        result = run_programs(
-            self.machine, programs, record_events=self.record_events,
-            sinks=self.sinks, faults=self._injector(),
-        )
-        if self.protocol is not None:
-            result = self._attach_protocol_stats(result, comms)
+        ])
         out = {
             name: self.grid.gather(
                 [per_rank_named[rank][name] for rank in range(mp.nprocs)]
@@ -233,52 +232,57 @@ class MultipartExecutor:
         """Execute ``schedule`` payload-free and return the
         :class:`~repro.simmpi.trace.RunResult` only.
 
-        The rank programs yield the identical op sequence as :meth:`run` —
+        The engine replays the same compiled ops :meth:`run` interprets —
         same sends (by tag and byte count), receives, compute durations and
         phase marks — so clocks, makespan, message counts, and byte totals
         match real-data mode bit-for-bit; only the array contents are
         absent."""
-        mp = self.partitioning
-        comms = [self._make_comm(rank) for rank in range(mp.nprocs)]
-        programs = [
-            self._skeleton_program(comms[rank], schedule)
-            for rank in range(mp.nprocs)
+        compiled = self.compile(schedule)
+        comms = [
+            self._make_comm(rank) for rank in range(self.partitioning.nprocs)
         ]
-        if self.protocol is not None:
-            programs = [
-                self._finalized(comm, prog)
-                for comm, prog in zip(comms, programs)
-            ]
-        result = run_programs(
-            self.machine, programs, record_events=self.record_events,
-            sinks=self.sinks, faults=self._injector(),
-        )
-        if self.protocol is not None:
-            result = self._attach_protocol_stats(result, comms)
-        return result
+        return self._execute(comms, [
+            self._replay(comm, ops) for comm, ops in zip(comms, compiled.ops)
+        ])
 
     def skeleton_rank_program(self, rank: int, schedule) -> Generator:
-        """One rank's payload-free program as a fresh generator.
+        """One rank's payload-free program as a fresh generator replaying
+        its compiled ops."""
+        ops, _ = self._compiler.compile_rank(rank, schedule)
+        return self._replay(Comm(rank, self.partitioning.nprocs), ops)
 
-        Public entry point for the static verifier
-        (:mod:`repro.verify`): the returned generator yields the identical
-        op sequence the engine would interpret for ``rank`` — same sends
-        (dest, tag, declared bytes), receives, compute charges and phase
-        marks — but can be drained *without* the engine because none of
-        its control flow depends on received payloads (see
-        :func:`repro.simmpi.program.record_ops`).
-        """
-        mp = self.partitioning
-        return self._skeleton_program(Comm(rank, mp.nprocs), schedule)
+    # -- rank programs --------------------------------------------------------
 
-    # -- rank program -----------------------------------------------------------
+    @staticmethod
+    def _replay(comm: Comm, ops: tuple) -> Generator:
+        """Yield one rank's compiled ops.  A plain :class:`Comm` would
+        yield exactly these ops from its verbs, so they pass straight
+        through; a wrapper such as :class:`ReliableComm` gets every send
+        and receive through its own verbs."""
+        if type(comm) is Comm:
+            for op in ops:
+                yield op
+        else:
+            for op in ops:
+                cls = op.__class__
+                if cls is SendOp:
+                    yield from comm.send(op.payload, op.dest, op.tag)
+                elif cls is RecvOp:
+                    yield from comm.recv(op.source, op.tag)
+                else:
+                    yield op
+        return comm.rank
 
-    def _rank_program(
+    def _interpret(
         self,
         comm: Comm,
+        compiled: CompiledSchedule,
         arrays: "dict[str, dict[tuple[int, ...], np.ndarray]]",
-        schedule,
     ) -> Generator:
+        """Real-data rank program: walk the rank's compiled ops, running
+        the numpy kernels at compute entries and packing/unpacking the
+        payloads at send/recv entries."""
+
         def blocks_of(name: str):
             if name not in arrays:
                 raise KeyError(
@@ -286,221 +290,128 @@ class MultipartExecutor:
                 )
             return arrays[name]
 
-        open_phase: str | None = None
-        for op_index, op in enumerate(schedule):
-            if self._emit_marks:
-                # consecutive ops sharing a phase annotation share one span
-                # (e.g. the four sweeps of SP's x_solve)
-                phase = getattr(op, "phase", None)
-                if phase != open_phase:
-                    if open_phase is not None:
-                        yield from comm.phase_end(open_phase)
-                    if phase is not None:
-                        yield from comm.phase_begin(phase)
-                    open_phase = phase
-                yield from comm.mark(f"op{op_index}:{op.label()}")
-            if isinstance(op, (SweepOp, BlockSweepOp)):
-                yield from self._sweep(
-                    comm, blocks_of(op.array), op, op_index
-                )
-            elif isinstance(op, StencilOp):
-                yield from self._stencil(
-                    comm,
-                    blocks_of(op.array),
-                    op,
-                    op_index,
-                    out_blocks=blocks_of(op.out_array or op.array),
-                )
-            elif isinstance(op, BinaryPointwiseOp):
-                target = blocks_of(op.target)
-                source = blocks_of(op.source)
-                points = 0
-                for tile, block in target.items():
-                    result = op.fn(block, source[tile])
-                    if result.shape != block.shape:
-                        raise ValueError(
-                            f"{op.name} changed a tile's shape"
-                        )
-                    block[...] = result
-                    points += block.size
-                yield from comm.compute(
-                    self.machine.compute_time(
-                        points, op.flops_per_point, tiles=len(target)
-                    ),
-                    points=points,
-                )
-            elif isinstance(op, CopyOp):
-                src = blocks_of(op.src)
-                dst = blocks_of(op.dst)
-                points = 0
-                for tile, block in dst.items():
-                    block[...] = src[tile]
-                    points += block.size
-                yield from comm.compute(
-                    self.machine.compute_time(
-                        points, op.flops_per_point, tiles=len(dst)
-                    ),
-                    points=points,
-                )
-            elif isinstance(op, PointwiseOp):
-                yield from self._pointwise(comm, blocks_of(op.array), op)
+        schedule = compiled.schedule
+        carries: dict = {}   # receiving tile -> incoming sweep carry
+        outgoing: dict = {}  # sending tile -> outgoing sweep carry
+        ghosts: dict = {}    # tile -> {(axis, side): halo face}
+        for prim, site in zip(
+            compiled.ops[comm.rank], compiled.sites[comm.rank]
+        ):
+            if site is None:  # a mark
+                yield prim
+                continue
+            op = schedule[site.op_index]
+            cls = prim.__class__
+            if cls is SendOp:
+                if isinstance(op, StencilOp):
+                    payload = self._faces(blocks_of(op.array), op, site)
+                elif self.aggregate:
+                    axis = op.axis % self.grid.ndim
+                    step = -1 if op.reverse else +1
+                    payload = _CarryPayload(
+                        tuple(
+                            neighbor_tile(t, axis, step) for t in site.tiles
+                        ),
+                        [outgoing.pop(t) for t in site.tiles],
+                    )
+                else:
+                    payload = outgoing.pop(site.tiles[0])
+                yield from comm.send(payload, prim.dest, prim.tag)
+            elif cls is RecvOp:
+                payload = yield from comm.recv(prim.source, prim.tag)
+                if isinstance(op, StencilOp):
+                    key = divmod(site.phase, 2)  # (axis, side)
+                    for tile, face in payload:
+                        ghosts.setdefault(tile, {})[key] = face
+                elif self.aggregate:
+                    carries.update(zip(payload.coords, payload.planes))
+                else:
+                    carries[site.tiles[0]] = payload
             else:
-                raise TypeError(f"unsupported op {op!r}")
-        if self._emit_marks and open_phase is not None:
-            yield from comm.phase_end(open_phase)
+                if isinstance(op, (SweepOp, BlockSweepOp)):
+                    outgoing = self._scan(
+                        blocks_of(op.array), op, site, carries
+                    )
+                elif isinstance(op, StencilOp):
+                    self._apply_stencil(
+                        blocks_of(op.array),
+                        blocks_of(op.out_array or op.array),
+                        op, site, ghosts,
+                    )
+                    ghosts = {}
+                elif isinstance(op, BinaryPointwiseOp):
+                    source = blocks_of(op.source)
+                    self._update(
+                        blocks_of(op.target), site, op.name,
+                        lambda tile, block: op.fn(block, source[tile]),
+                    )
+                elif isinstance(op, CopyOp):
+                    src = blocks_of(op.src)
+                    dst = blocks_of(op.dst)
+                    for tile in site.tiles:
+                        dst[tile][...] = src[tile]
+                else:
+                    self._update(
+                        blocks_of(op.array), site, op.name,
+                        lambda tile, block: op.fn(block),
+                    )
+                yield prim
         return comm.rank
 
-    def _pointwise(self, comm: Comm, blocks, op: PointwiseOp) -> Generator:
-        points = 0
-        for tile, block in blocks.items():
-            result = op.fn(block)
+    @staticmethod
+    def _update(blocks, site: Site, name: str, fn) -> None:
+        """In-place elementwise update of the site's tiles (in place so
+        scatter/gather aliasing stays intact)."""
+        for tile in site.tiles:
+            block = blocks[tile]
+            result = fn(tile, block)
             if result.shape != block.shape:
-                raise ValueError(f"{op.name} changed a tile's shape")
-            # in-place update so scatter/gather aliasing stays intact
+                raise ValueError(f"{name} changed a tile's shape")
             block[...] = result
-            points += block.size
-        yield from comm.compute(
-            self.machine.compute_time(
-                points, op.flops_per_point, tiles=len(blocks)
-            ),
-            points=points,
-        )
 
-    def _sweep(
-        self, comm: Comm, blocks, op: SweepOp, op_index: int
-    ) -> Generator:
-        mp = self.partitioning
+    def _scan(self, blocks, op, site: Site, carries: dict) -> dict:
+        """Scan the slab's tiles, consuming their incoming carries; returns
+        each tile's outgoing carry."""
         axis = op.axis % self.grid.ndim
-        gamma = mp.gammas[axis]
+        lo, hi = self.grid.tile_span(axis, site.tiles[0][axis])
         n_axis = self.grid.shape[axis]
-        send_dir = -1 if op.reverse else +1
-        nbr_send = mp.neighbor_rank(comm.rank, axis, send_dir)
-        nbr_recv = mp.neighbor_rank(comm.rank, axis, -send_dir)
-        slab_order = list(mp.slabs(axis, reverse=op.reverse))
-        tag_base = (op_index + 1) * 100_000
-
-        carries: dict[tuple[int, ...], np.ndarray] = {}
-        for phase, slab in enumerate(slab_order):
-            if self._emit_marks:
-                # nested span: the paper's per-sweep pipeline phases
-                # ("x_solve/p2") — every rank participates in every one
-                # (balance property), which the phase profile verifies
-                yield from comm.phase_begin(f"p{phase}")
-            my_tiles = mp.tiles_of_in_slab(comm.rank, axis, slab)
-            if phase > 0:
-                carries = yield from self._recv_carries(
-                    comm, nbr_recv, my_tiles, tag_base + phase
-                )
-            outgoing: dict[tuple[int, ...], np.ndarray] = {}
-            points = 0
-            for tile in my_tiles:
-                block = blocks[tile]
-                lo, hi = self.grid.tile_span(axis, slab)
-                carry_in = carries.get(tile)
-                carry_out = scan_op(
-                    block, op, lo, hi, n_axis, carry=carry_in
-                )
-                points += block.size
-                dest = list(tile)
-                dest[axis] += send_dir
-                if 0 <= dest[axis] < gamma:
-                    outgoing[tuple(dest)] = carry_out
-            yield from comm.compute(
-                self.machine.compute_time(
-                    points, op.flops_per_point, tiles=len(my_tiles)
-                ),
-                points=points,
+        return {
+            tile: scan_op(
+                blocks[tile], op, lo, hi, n_axis,
+                carry=carries.pop(tile, None),
             )
-            if phase < len(slab_order) - 1 and outgoing:
-                yield from self._send_carries(
-                    comm, nbr_send, outgoing, tag_base + phase + 1
-                )
-            if self._emit_marks:
-                yield from comm.phase_end(f"p{phase}")
-        # sanity: every rank participates in every phase (balance property)
-
-    def _stencil(
-        self,
-        comm: Comm,
-        blocks,
-        op: StencilOp,
-        op_index: int,
-        out_blocks=None,
-    ) -> Generator:
-        """Star-stencil update with halo exchange (shadow-region fill).
-
-        One aggregated message per (rank, axis, side) — the communication
-        pattern the dHPF shadow/vectorization analysis plans.  Ghosts beyond
-        the global boundary stay zero; padding corners stay zero (the star
-        contract).
-        """
-        mp = self.partitioning
-        ndim = self.grid.ndim
-        reach = op.pad_widths(ndim)
-        tag_base = (op_index + 1) * 100_000 + 50_000
-
-        # -- send faces (eager, never blocks) -------------------------------
-        # Ghosts on the `step=-1` side of a tile come from the previous
-        # tile's trailing planes (sent in the +1 direction), and vice versa.
-        for axis in range(ndim):
-            for step, width in ((+1, reach[axis][0]), (-1, reach[axis][1])):
-                if width == 0 or mp.gammas[axis] == 1:
-                    continue
-                dest_rank = mp.neighbor_rank(comm.rank, axis, step)
-                outgoing = []
-                for tile in mp.tiles_of(comm.rank):
-                    dest = list(tile)
-                    dest[axis] += step
-                    if not 0 <= dest[axis] < mp.gammas[axis]:
-                        continue
-                    block = blocks[tile]
-                    sel = [slice(None)] * ndim
-                    n = block.shape[axis]
-                    sel[axis] = (
-                        slice(n - width, n) if step == 1 else slice(0, width)
-                    )
-                    # copy=True, NOT ascontiguousarray: a leading-axis slice
-                    # is already contiguous and would alias the block, which
-                    # the receiver must not see post-update
-                    outgoing.append(
-                        (tuple(dest), np.array(block[tuple(sel)], copy=True))
-                    )
-                if outgoing:
-                    yield from comm.send(
-                        _FacePayload(outgoing),
-                        dest_rank,
-                        tag_base + 10 * axis + (0 if step == 1 else 1),
-                    )
-
-        # -- receive ghosts ---------------------------------------------------
-        # ghosts[tile][(axis, side)] -> face array; side 0 = low, 1 = high
-        ghosts: dict[tuple[int, ...], dict[tuple[int, int], np.ndarray]] = {
-            tile: {} for tile in mp.tiles_of(comm.rank)
+            for tile in site.tiles
         }
-        for axis in range(ndim):
-            for step, width, side in (
-                (+1, reach[axis][0], 0),
-                (-1, reach[axis][1], 1),
-            ):
-                if width == 0 or mp.gammas[axis] == 1:
-                    continue
-                src_rank = mp.neighbor_rank(comm.rank, axis, -step)
-                expecting = any(
-                    0 <= t[axis] - step < mp.gammas[axis]
-                    for t in mp.tiles_of(comm.rank)
-                )
-                if not expecting:
-                    continue
-                payload = yield from comm.recv(
-                    src_rank,
-                    tag_base + 10 * axis + (0 if step == 1 else 1),
-                )
-                for tile, face in payload:
-                    ghosts[tile][(axis, side)] = face
 
-        # -- apply --------------------------------------------------------------
-        points = 0
-        for tile in mp.tiles_of(comm.rank):
+    def _faces(self, blocks, op: StencilOp, site: Site) -> _FacePayload:
+        """The halo faces the site's tiles send to their neighbours."""
+        ndim = self.grid.ndim
+        axis, side = divmod(site.phase, 2)
+        step = +1 if side == 0 else -1
+        width = op.pad_widths(ndim)[axis][side]
+        items = []
+        for tile in site.tiles:
+            block = blocks[tile]
+            sel = [slice(None)] * ndim
+            n = block.shape[axis]
+            sel[axis] = slice(n - width, n) if step == 1 else slice(0, width)
+            # copy=True, NOT ascontiguousarray: a leading-axis slice is
+            # already contiguous and would alias the block, which the
+            # receiver must not see post-update
+            items.append((
+                neighbor_tile(tile, axis, step),
+                np.array(block[tuple(sel)], copy=True),
+            ))
+        return _FacePayload(items)
+
+    def _apply_stencil(
+        self, blocks, out_blocks, op: StencilOp, site: Site, ghosts: dict
+    ) -> None:
+        """Star-stencil update of every tile from its block padded with the
+        received ghosts.  Ghosts beyond the global boundary stay zero;
+        padding corners stay zero (the star contract)."""
+        reach = op.pad_widths(self.grid.ndim)
+        for tile in site.tiles:
             block = blocks[tile]
             padded = np.zeros(
                 tuple(
@@ -513,7 +424,7 @@ class MultipartExecutor:
                 slice(lo, lo + s) for s, (lo, _) in zip(block.shape, reach)
             )
             padded[core] = block
-            for (axis, side), face in ghosts[tile].items():
+            for (axis, side), face in ghosts.get(tile, {}).items():
                 lo, hi = reach[axis]
                 sel = list(core)
                 sel[axis] = (
@@ -527,228 +438,4 @@ class MultipartExecutor:
                 raise ValueError(
                     f"{op.name} must return the core shape {block.shape}"
                 )
-            (out_blocks if out_blocks is not None else blocks)[tile][
-                ...
-            ] = result
-            points += block.size
-        yield from comm.compute(
-            self.machine.compute_time(
-                points, op.flops_per_point, tiles=len(blocks)
-            ),
-            points=points,
-        )
-
-    def _send_carries(
-        self, comm: Comm, dest: int, outgoing, tag: int
-    ) -> Generator:
-        if dest < 0:
-            raise AssertionError(
-                "outgoing carries with no neighbor rank (gamma==1?)"
-            )
-        if self.aggregate:
-            # one vectorized message carrying every tile's boundary plane
-            items = sorted(outgoing.items())
-            coords = tuple(t for t, _ in items)
-            planes = [p for _, p in items]
-            yield from comm.send(_CarryPayload(coords, planes), dest, tag)
-        else:
-            for tile in sorted(outgoing):
-                yield from comm.send(
-                    outgoing[tile],
-                    dest,
-                    tag * 1_000_000 + _tile_linear_index(tile, self.grid.gammas),
-                )
-
-    def _recv_carries(
-        self, comm: Comm, source: int, my_tiles, tag: int
-    ) -> Generator:
-        if source < 0:
-            raise AssertionError(
-                "expecting carries but no neighbor rank (gamma==1?)"
-            )
-        if self.aggregate:
-            payload = yield from comm.recv(source, tag)
-            return dict(zip(payload.coords, payload.planes))
-        carries = {}
-        for tile in sorted(my_tiles):
-            carries[tile] = yield from comm.recv(
-                source, tag * 1_000_000 + _tile_linear_index(tile, self.grid.gammas)
-            )
-        return carries
-
-    # -- skeleton (payload-free) rank program --------------------------------
-    #
-    # Mirrors `_rank_program` op for op: every branch below must yield the
-    # same sends (tag + byte count), receives, compute durations, and marks
-    # as its real-data twin above, with all quantities derived from tile
-    # geometry.  The equivalence tests compare the two modes bit-for-bit;
-    # any edit to the real program needs the matching edit here.
-
-    def _tile_points(self, tile: tuple[int, ...]) -> int:
-        return prod(self.grid.tile_shape(tile))
-
-    def _plane_nbytes(self, tile, axis: int, width: int = 1) -> int:
-        """Wire size of ``width`` boundary planes of ``tile`` normal to
-        ``axis`` — the shape of a sweep carry / stencil face."""
-        shape = self.grid.tile_shape(tile)
-        return _ITEMSIZE * width * prod(shape) // shape[axis]
-
-    def _skeleton_program(self, comm: Comm, schedule) -> Generator:
-        mp = self.partitioning
-        my_tiles = sorted(mp.tiles_of(comm.rank))
-        ntiles = len(my_tiles)
-        all_points = sum(self._tile_points(t) for t in my_tiles)
-        open_phase: str | None = None
-        for op_index, op in enumerate(schedule):
-            if self._emit_marks:
-                phase = getattr(op, "phase", None)
-                if phase != open_phase:
-                    if open_phase is not None:
-                        yield from comm.phase_end(open_phase)
-                    if phase is not None:
-                        yield from comm.phase_begin(phase)
-                    open_phase = phase
-                yield from comm.mark(f"op{op_index}:{op.label()}")
-            if isinstance(op, (SweepOp, BlockSweepOp)):
-                yield from self._skeleton_sweep(comm, op, op_index)
-            elif isinstance(op, StencilOp):
-                yield from self._skeleton_stencil(comm, op, op_index)
-            elif isinstance(
-                op, (BinaryPointwiseOp, CopyOp, PointwiseOp)
-            ):
-                yield from comm.compute(
-                    self.machine.compute_time(
-                        all_points, op.flops_per_point, tiles=ntiles
-                    ),
-                    points=all_points,
-                )
-            else:
-                raise TypeError(f"unsupported op {op!r}")
-        if self._emit_marks and open_phase is not None:
-            yield from comm.phase_end(open_phase)
-        return comm.rank
-
-    def _skeleton_sweep(self, comm: Comm, op, op_index: int) -> Generator:
-        mp = self.partitioning
-        axis = op.axis % self.grid.ndim
-        gamma = mp.gammas[axis]
-        send_dir = -1 if op.reverse else +1
-        nbr_send = mp.neighbor_rank(comm.rank, axis, send_dir)
-        nbr_recv = mp.neighbor_rank(comm.rank, axis, -send_dir)
-        slab_order = list(mp.slabs(axis, reverse=op.reverse))
-        tag_base = (op_index + 1) * 100_000
-
-        for phase, slab in enumerate(slab_order):
-            if self._emit_marks:
-                yield from comm.phase_begin(f"p{phase}")
-            my_tiles = mp.tiles_of_in_slab(comm.rank, axis, slab)
-            if phase > 0:
-                yield from self._skeleton_recv_carries(
-                    comm, nbr_recv, my_tiles, tag_base + phase
-                )
-            # outgoing carries keyed by downstream tile, one boundary plane
-            # each — same shapes the real scan would return
-            outgoing: dict[tuple[int, ...], int] = {}
-            points = 0
-            for tile in my_tiles:
-                points += self._tile_points(tile)
-                dest = list(tile)
-                dest[axis] += send_dir
-                if 0 <= dest[axis] < gamma:
-                    outgoing[tuple(dest)] = self._plane_nbytes(tile, axis)
-            yield from comm.compute(
-                self.machine.compute_time(
-                    points, op.flops_per_point, tiles=len(my_tiles)
-                ),
-                points=points,
-            )
-            if phase < len(slab_order) - 1 and outgoing:
-                yield from self._skeleton_send_carries(
-                    comm, nbr_send, outgoing, tag_base + phase + 1
-                )
-            if self._emit_marks:
-                yield from comm.phase_end(f"p{phase}")
-
-    def _skeleton_send_carries(
-        self, comm: Comm, dest: int, outgoing: dict, tag: int
-    ) -> Generator:
-        if dest < 0:
-            raise AssertionError(
-                "outgoing carries with no neighbor rank (gamma==1?)"
-            )
-        if self.aggregate:
-            yield from comm.send(Bytes(sum(outgoing.values())), dest, tag)
-        else:
-            for tile in sorted(outgoing):
-                yield from comm.send(
-                    Bytes(outgoing[tile]),
-                    dest,
-                    tag * 1_000_000 + _tile_linear_index(tile, self.grid.gammas),
-                )
-
-    def _skeleton_recv_carries(
-        self, comm: Comm, source: int, my_tiles, tag: int
-    ) -> Generator:
-        if source < 0:
-            raise AssertionError(
-                "expecting carries but no neighbor rank (gamma==1?)"
-            )
-        if self.aggregate:
-            yield from comm.recv(source, tag)
-            return
-        for tile in sorted(my_tiles):
-            yield from comm.recv(
-                source, tag * 1_000_000 + _tile_linear_index(tile, self.grid.gammas)
-            )
-
-    def _skeleton_stencil(
-        self, comm: Comm, op: StencilOp, op_index: int
-    ) -> Generator:
-        mp = self.partitioning
-        ndim = self.grid.ndim
-        reach = op.pad_widths(ndim)
-        tag_base = (op_index + 1) * 100_000 + 50_000
-        my_tiles = mp.tiles_of(comm.rank)
-
-        # sends: one aggregated face message per (axis, side) with a
-        # downstream neighbor — the byte count the real faces would total
-        for axis in range(ndim):
-            for step, width in ((+1, reach[axis][0]), (-1, reach[axis][1])):
-                if width == 0 or mp.gammas[axis] == 1:
-                    continue
-                dest_rank = mp.neighbor_rank(comm.rank, axis, step)
-                nbytes = sum(
-                    self._plane_nbytes(tile, axis, width)
-                    for tile in my_tiles
-                    if 0 <= tile[axis] + step < mp.gammas[axis]
-                )
-                if nbytes:
-                    yield from comm.send(
-                        Bytes(nbytes),
-                        dest_rank,
-                        tag_base + 10 * axis + (0 if step == 1 else 1),
-                    )
-
-        # receives: same "expecting" guard as the real exchange
-        for axis in range(ndim):
-            for step, width in ((+1, reach[axis][0]), (-1, reach[axis][1])):
-                if width == 0 or mp.gammas[axis] == 1:
-                    continue
-                src_rank = mp.neighbor_rank(comm.rank, axis, -step)
-                expecting = any(
-                    0 <= t[axis] - step < mp.gammas[axis] for t in my_tiles
-                )
-                if not expecting:
-                    continue
-                yield from comm.recv(
-                    src_rank,
-                    tag_base + 10 * axis + (0 if step == 1 else 1),
-                )
-
-        points = sum(self._tile_points(t) for t in my_tiles)
-        yield from comm.compute(
-            self.machine.compute_time(
-                points, op.flops_per_point, tiles=len(my_tiles)
-            ),
-            points=points,
-        )
+            out_blocks[tile][...] = result

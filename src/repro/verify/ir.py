@@ -7,19 +7,17 @@ nothing else: no payloads, no numpy arrays, no generators.  Analyses over
 the IR therefore cannot mutate simulator state, and extracting the IR
 cannot run any computation of the underlying schedule.
 
-Extraction drains each rank's *skeleton* program
-(:meth:`repro.sweep.multipart.MultipartExecutor.skeleton_rank_program`)
-independently through :func:`repro.simmpi.program.record_ops` — the
-skeleton contract (control flow depends only on tile geometry) is what
-makes per-rank, engine-free extraction sound.  The equivalence of skeleton
-and real-data programs is pinned by ``tests/sweep/test_skeleton.py``, so
-verdicts about the IR transfer to the real execution.
+Extraction lowers the executor's compiled schedule
+(:meth:`repro.sweep.multipart.MultipartExecutor.compile`): the same
+per-rank op lists the engine replays in skeleton mode and the real-data
+interpreter walks, so verdicts about the IR hold for both executions by
+construction.  No rank program runs and no payload is touched.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterator, Union
+from typing import Any, Iterator, Sequence, Union
 
 from repro.simmpi.message import (
     ANY_TAG,
@@ -29,7 +27,6 @@ from repro.simmpi.message import (
     SendOp,
     payload_nbytes,
 )
-from repro.simmpi.program import record_ops
 
 __all__ = [
     "IRSend",
@@ -155,15 +152,12 @@ class ProgramIR:
         return ProgramIR(self.nprocs, tuple(ranks))
 
 
-#: extraction budget per rank; generous (paper-scale programs are ~1e4 ops)
-_MAX_OPS_PER_RANK = 5_000_000
-
 #: phase-span mark prefixes (mirrors repro.simmpi.message)
 _PHASE_BEGIN = "phase_begin:"
 _PHASE_END = "phase_end:"
 
 
-def _lower_rank(rank: int, raw_ops: list) -> tuple[IROp, ...]:
+def _lower_rank(rank: int, raw_ops: Sequence[Any]) -> tuple[IROp, ...]:
     """Lower primitive ops to IR records, folding phase-span marks into a
     per-op ``phase`` path (mirroring the engine's attribution rule: the
     innermost open phase wins)."""
@@ -204,7 +198,7 @@ def _lower_rank(rank: int, raw_ops: list) -> tuple[IROp, ...]:
             out.append(IRRecv(rank, index, op.source, op.tag, path))
         elif isinstance(op, ComputeOp):
             out.append(IRCompute(rank, index, op.seconds, path))
-        else:  # pragma: no cover - record_ops already validates
+        else:  # pragma: no cover - the compiler emits primitive ops only
             raise TypeError(f"unsupported primitive op {op!r}")
     if stack:
         raise ValueError(f"rank {rank}: unclosed phase span(s) {stack!r}")
@@ -215,21 +209,14 @@ def extract_program_ir(executor: Any, schedule: Any) -> ProgramIR:
     """Extract the :class:`ProgramIR` of ``schedule`` on ``executor``.
 
     ``executor`` is a :class:`repro.sweep.multipart.MultipartExecutor`;
-    every rank's skeleton program is drained independently (no engine, no
-    payload data).  Phase marks are only produced when the executor was
-    constructed with mark emission enabled (``record_events=True`` or any
-    sink attached); the IR is structurally identical either way — phases
-    just stay empty strings otherwise.
+    its compiled per-rank op lists are lowered one rank at a time.  Phase
+    marks are only compiled when the executor was constructed with mark
+    emission enabled (``record_events=True`` or any sink attached); the IR
+    is structurally identical either way — phases just stay empty strings
+    otherwise.
     """
-    nprocs = executor.partitioning.nprocs
+    compiled = executor.compile(schedule)
     ranks = tuple(
-        _lower_rank(
-            rank,
-            record_ops(
-                executor.skeleton_rank_program(rank, schedule),
-                max_ops=_MAX_OPS_PER_RANK,
-            ),
-        )
-        for rank in range(nprocs)
+        _lower_rank(rank, ops) for rank, ops in enumerate(compiled.ops)
     )
-    return ProgramIR(nprocs, ranks)
+    return ProgramIR(compiled.nprocs, ranks)

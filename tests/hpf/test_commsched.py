@@ -79,5 +79,5 @@ class TestMatchesSimulation:
             plan.partitioning, shape, machine
         ).run(np.zeros(shape), [SweepOp(axis=axis, mult=0.5)])
         assert res.message_count == static.message_count
-        # simulated bytes include pickle envelope; elements are a lower bound
-        assert res.total_bytes >= static.total_elements * 8
+        # payload sizes are structural: exactly the planned planes
+        assert res.total_bytes == static.total_elements * 8

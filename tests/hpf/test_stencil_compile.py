@@ -91,18 +91,6 @@ class TestStaticHaloPlan:
         )
         assert only_axis0.message_count == all_axes.message_count // 3
 
-    def test_aggregation_factor(self):
-        from repro.core.mapping import Multipartitioning
-        from repro.core.modmap import build_modular_mapping
-
-        b = (6, 6, 2)
-        mp = Multipartitioning(build_modular_mapping(b, 6).rank_grid(b), 6)
-        reach = ((0, 0), (0, 0), (1, 1))
-        agg = plan_stencil_comm(mp, (24, 24, 24), reach, aggregate=True)
-        raw = plan_stencil_comm(mp, (24, 24, 24), reach, aggregate=False)
-        assert raw.total_elements == agg.total_elements
-        assert raw.message_count > agg.message_count
-
     def test_reach_length_check(self):
         plan = plan_multipartitioning((8, 8), 2)
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from repro.simmpi.message import (
     RecvOp,
     SendOp,
 )
-from repro.simmpi.program import op_metadata, record_ops
+from repro.simmpi.program import record_ops
 from repro.verify import IRRecv, IRSend, ProgramIR, extract_program_ir
 from repro.verify.checker import build_configuration
 from repro.verify.ir import _lower_rank
@@ -50,15 +50,6 @@ class TestRecordOps:
 
         with pytest.raises(RuntimeError):
             record_ops(prog(), max_ops=10)
-
-    def test_op_metadata_vocabulary(self):
-        assert op_metadata(SendOp(3, Bytes(16), tag=7)) == {
-            "kind": "send", "dest": 3, "tag": 7, "nbytes": 16,
-        }
-        assert op_metadata(RecvOp(2, tag=-1))["tag"] == "ANY"
-        assert op_metadata(MarkOp("x"))["kind"] == "mark"
-        with pytest.raises(TypeError):
-            op_metadata(object())
 
 
 class TestLowerRank:
