@@ -58,4 +58,3 @@ def record_ops(
                 f"rank program exceeded the {max_ops}-op extraction budget"
             )
         value = recv_value if isinstance(op, RecvOp) else None
-

@@ -134,7 +134,7 @@ class _Marks(NamedTuple):
 class _RankGeometry:
     """One rank's tiles, bucketed by slab along every axis."""
 
-    __slots__ = ("tiles", "points", "slabs", "_gammas", "_plane", "_halo")
+    __slots__ = ("tiles", "points", "slabs", "_gammas", "_plane")
 
     def __init__(self, grid: TileGrid, tiles: tuple[tuple[int, ...], ...]):
         shapes = [grid.tile_shape(t) for t in tiles]
@@ -162,23 +162,19 @@ class _RankGeometry:
                     Bytes(sum(planes)),
                 ))
             self.slabs.append(tuple(slabs))
-        self._halo: dict = {}
 
     def halo(self, axis: int, step: int) -> tuple[tuple, int]:
         """(tiles with a ``step``-neighbour along ``axis``, total bytes of
         their boundary planes normal to ``axis``)."""
-        key = (axis, step)
-        if key not in self._halo:
-            plane = self._plane[axis]
-            inner = [
-                i for i, t in enumerate(self.tiles)
-                if 0 <= t[axis] + step < self._gammas[axis]
-            ]
-            self._halo[key] = (
-                tuple(self.tiles[i] for i in inner),
-                sum(plane[i] for i in inner),
-            )
-        return self._halo[key]
+        inner = [
+            i for i, t in enumerate(self.tiles)
+            if 0 <= t[axis] + step < self._gammas[axis]
+        ]
+        plane = self._plane[axis]
+        return (
+            tuple(self.tiles[i] for i in inner),
+            sum(plane[i] for i in inner),
+        )
 
 
 class ScheduleCompiler:

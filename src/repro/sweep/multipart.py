@@ -237,12 +237,14 @@ class MultipartExecutor:
         phase marks — so clocks, makespan, message counts, and byte totals
         match real-data mode bit-for-bit; only the array contents are
         absent."""
-        compiled = self.compile(schedule)
+        # the replay needs no sites; dropping them before the engine runs
+        # keeps them out of the run's peak memory
+        ops = self.compile(schedule).ops
         comms = [
             self._make_comm(rank) for rank in range(self.partitioning.nprocs)
         ]
         return self._execute(comms, [
-            self._replay(comm, ops) for comm, ops in zip(comms, compiled.ops)
+            self._replay(comm, rank_ops) for comm, rank_ops in zip(comms, ops)
         ])
 
     def skeleton_rank_program(self, rank: int, schedule) -> Generator:

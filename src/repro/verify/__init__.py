@@ -6,8 +6,8 @@ Public surface:
   configuration, producing a ``repro.verify-report.v1`` document;
 * :func:`verify_ir` — the communication analyses over an already-extracted
   :class:`ProgramIR`;
-* :func:`extract_program_ir` — lower an executor's skeleton rank programs
-  to the side-effect-free IR;
+* :func:`extract_program_ir` — lower an executor's compiled per-rank op
+  lists to the side-effect-free IR;
 * :func:`check_invariants` — the paper-invariant proof pass on a concrete
   tile-to-rank assignment;
 * the report vocabulary (:class:`VerifyReport`, :class:`AnalysisResult`,

@@ -7,7 +7,7 @@ runs before committing simulator (or cluster) time to a user-submitted
 1. plan the multipartitioning exactly as the runner would (same optimizer,
    same diagonal/BT special cases);
 2. run the **paper-invariant proof pass** on the concrete assignment;
-3. extract the **rank-program IR** (skeleton programs, no engine);
+3. extract the **rank-program IR** (the compiled op lists, no engine);
 4. run **send/recv matching**, **deadlock**, and **message-race** analyses
    over the IR.
 

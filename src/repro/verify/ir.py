@@ -21,6 +21,8 @@ from typing import Any, Iterator, Sequence, Union
 
 from repro.simmpi.message import (
     ANY_TAG,
+    PHASE_BEGIN,
+    PHASE_END,
     ComputeOp,
     MarkOp,
     RecvOp,
@@ -152,11 +154,6 @@ class ProgramIR:
         return ProgramIR(self.nprocs, tuple(ranks))
 
 
-#: phase-span mark prefixes (mirrors repro.simmpi.message)
-_PHASE_BEGIN = "phase_begin:"
-_PHASE_END = "phase_end:"
-
-
 def _lower_rank(rank: int, raw_ops: Sequence[Any]) -> tuple[IROp, ...]:
     """Lower primitive ops to IR records, folding phase-span marks into a
     per-op ``phase`` path (mirroring the engine's attribution rule: the
@@ -168,12 +165,12 @@ def _lower_rank(rank: int, raw_ops: Sequence[Any]) -> tuple[IROp, ...]:
         index = len(out)
         if isinstance(op, MarkOp):
             label = op.label
-            if label.startswith(_PHASE_BEGIN):
-                stack.append(label[len(_PHASE_BEGIN):])
+            if label.startswith(PHASE_BEGIN):
+                stack.append(label[len(PHASE_BEGIN):])
                 path = "/".join(stack)
                 continue
-            if label.startswith(_PHASE_END):
-                name = label[len(_PHASE_END):]
+            if label.startswith(PHASE_END):
+                name = label[len(PHASE_END):]
                 if not stack or stack[-1] != name:
                     raise ValueError(
                         f"rank {rank}: phase_end({name!r}) does not match "
