@@ -78,3 +78,30 @@ class TestDiagnoseInvalid:
         assert d.equally_many and d.balanced
         assert not d.neighbor
         assert "neighbor violated" in d.explain()
+
+
+class TestNeighborWitnessPinned:
+    """The conflict ``diagnose_mapping`` reports is the first conflicting
+    rank in raster order of the first failing direction -- not the smallest
+    one, which is what the neighbor certificate reports."""
+
+    @pytest.mark.parametrize(
+        "rows,nprocs,conflict",
+        [
+            (
+                [[3, 1, 0, 4, 2], [4, 2, 1, 0, 3], [0, 3, 2, 1, 4],
+                 [1, 4, 3, 2, 0], [2, 0, 4, 3, 1]],
+                5,
+                (3, 1, 1, (1, 2)),
+            ),
+            (
+                [[3, 2, 0, 1], [2, 3, 1, 0], [1, 0, 3, 2], [0, 1, 2, 3]],
+                4,
+                (3, 0, 1, (0, 2)),
+            ),
+        ],
+    )
+    def test_first_conflict_in_raster_order(self, rows, nprocs, conflict):
+        d = diagnose_mapping(np.array(rows, dtype=np.int64), nprocs)
+        assert d.equally_many and d.balanced and not d.neighbor
+        assert d.neighbor_conflict == conflict

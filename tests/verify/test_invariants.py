@@ -75,6 +75,31 @@ class TestNeighborCertificate:
         assert len(w["neighbor_owners"]) > 1
         assert w["neighbor_owners"] == sorted(w["neighbor_owners"])
 
+    @pytest.mark.parametrize(
+        "rows,witness",
+        [
+            (
+                [[3, 1, 0, 4, 2], [4, 2, 1, 0, 3], [0, 3, 2, 1, 4],
+                 [1, 4, 3, 2, 0], [2, 0, 4, 3, 1]],
+                {"rank": 0, "axis": 1, "step": 1, "neighbor_owners": [3, 4]},
+            ),
+            (
+                [[3, 2, 0, 1], [2, 3, 1, 0], [1, 0, 3, 2], [0, 1, 2, 3]],
+                {"rank": 0, "axis": 0, "step": 1, "neighbor_owners": [1, 2]},
+            ),
+        ],
+    )
+    def test_failure_witness_is_smallest_rank_of_first_direction(
+        self, rows, witness
+    ):
+        cert = neighbor_certificate(np.array(rows, dtype=np.int64))
+        assert cert == {
+            "property": "neighbor",
+            "ok": False,
+            "periodic": False,
+            "witness": witness,
+        }
+
 
 class TestMappingCertificate:
     @pytest.mark.parametrize("b,p", [((2, 2, 2), 4), ((3, 3, 3), 9),
