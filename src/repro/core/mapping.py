@@ -2,19 +2,19 @@
 
 Wraps an owner table (any int array over the tile grid, usually produced by
 :func:`repro.core.modmap.build_modular_mapping` or
-:mod:`repro.core.diagonal`) and precomputes everything the sweep runtime and
-the dHPF-lite communication planner need:
+:mod:`repro.core.diagonal`) and answers what the sweep runtime and the
+dHPF-lite communication planner ask of it:
 
-* per-rank tile lists, globally and per slab;
 * the neighbor successor tables per signed direction (the neighbor property
-  guarantees these are single-valued);
-* slab enumeration in sweep order.
+  guarantees these are single-valued), kept from validation;
+* per-rank tile lists, computed on first use from one stable sort of the
+  owner table (plan-only callers never pay for them).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,12 +35,13 @@ class Multipartitioning:
 
     owner: np.ndarray
     nprocs: int
-    #: derived caches, filled in __post_init__ via object.__setattr__
+    #: derived caches, set via object.__setattr__: the successor tables in
+    #: __post_init__, the tile order on the first ``tiles_of`` call
     _neighbors: dict[tuple[int, int], np.ndarray] = dataclasses.field(
         init=False, repr=False, compare=False
     )
-    _tiles_by_rank: tuple[tuple[tuple[int, ...], ...], ...] = (
-        dataclasses.field(init=False, repr=False, compare=False)
+    _tile_order: np.ndarray | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -58,16 +59,6 @@ class Multipartitioning:
             raise ValueError("owner table violates the neighbor property")
         object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "_neighbors", nbr)
-        tiles_by_rank: list[list[tuple[int, ...]]] = [
-            [] for _ in range(self.nprocs)
-        ]
-        for coord in np.ndindex(*owner.shape):
-            tiles_by_rank[owner[coord]].append(coord)
-        object.__setattr__(
-            self,
-            "_tiles_by_rank",
-            tuple(tuple(ts) for ts in tiles_by_rank),
-        )
 
     # -- basic geometry ----------------------------------------------------
 
@@ -102,20 +93,18 @@ class Multipartitioning:
 
     def tiles_of(self, rank: int) -> tuple[tuple[int, ...], ...]:
         """All tile coordinates owned by ``rank`` (lexicographic order)."""
-        return self._tiles_by_rank[rank]
-
-    def tiles_of_in_slab(
-        self, rank: int, axis: int, slab: int
-    ) -> tuple[tuple[int, ...], ...]:
-        """Tiles of ``rank`` whose coordinate along ``axis`` equals ``slab``."""
-        return tuple(
-            t for t in self._tiles_by_rank[rank] if t[axis] == slab
-        )
-
-    def slabs(self, axis: int, reverse: bool = False) -> Iterator[int]:
-        """Slab indices along ``axis`` in sweep order."""
-        rng = range(self.owner.shape[axis])
-        return iter(reversed(rng)) if reverse else iter(rng)
+        if not 0 <= rank < self.nprocs:
+            raise IndexError(f"rank {rank} out of range for {self.nprocs}")
+        order = self._tile_order
+        if order is None:
+            # stable: each rank's run of flat indices stays ascending, i.e.
+            # lexicographic; equal counts make run r start at r * per-rank
+            order = np.argsort(self.owner.ravel(), kind="stable")
+            object.__setattr__(self, "_tile_order", order)
+        per = self.tiles_per_rank
+        flat = order[rank * per:(rank + 1) * per]
+        coords = np.unravel_index(flat, self.owner.shape)
+        return tuple(zip(*(c.tolist() for c in coords)))
 
     def neighbor_rank(self, rank: int, axis: int, step: int) -> int:
         """The single rank owning the ``step``-neighbors (along ``axis``) of
