@@ -489,7 +489,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "bt":
         from repro.analysis.report import format_table
-        from repro.apps.bt import bt_class, bt_plan
+        from repro.apps import bt_class, plan_app
         from repro.simmpi.machine import origin2000
         from repro.sweep.modeled import multipart_time
         from repro.sweep.sequential import sequential_time
@@ -500,11 +500,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         t1 = sequential_time(prob.field_shape, sched, machine)
         rows = []
         for p in (1, 4, 9, 16, 25, 36, 49, 64, 81):
-            plan = bt_plan(prob.shape, p, machine.to_cost_model())
-            t = multipart_time(
-                prob.field_shape, plan.partitioning, machine, sched
-            )
-            rows.append([p, plan.gammas[:3], t1 / t])
+            partitioning = plan_app(
+                "bt", prob.shape, p, cost_model=machine.to_cost_model()
+            ).partitioning
+            t = multipart_time(prob.field_shape, partitioning, machine, sched)
+            rows.append([p, partitioning.gammas[:3], t1 / t])
         print(
             format_table(
                 ["p", "tiling", "speedup"], rows,
@@ -569,27 +569,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         import numpy as np
 
         from repro.analysis.phases import format_breakdown, op_breakdown
-        from repro.apps.adi import ADIProblem
-        from repro.apps.workloads import random_field
-        from repro.core.api import plan_multipartitioning
+        from repro.apps import plan_app, random_field
         from repro.simmpi.machine import origin2000
         from repro.simmpi.traceio import ascii_timeline
         from repro.sweep.multipart import MultipartExecutor
         from repro.sweep.sequential import run_sequential
 
         machine = origin2000()
-        prob = ADIProblem(shape=args.shape, steps=args.steps)
-        plan = plan_multipartitioning(
-            args.shape, args.nprocs, machine.to_cost_model()
+        config = plan_app(
+            "adi", args.shape, args.nprocs, steps=args.steps,
+            cost_model=machine.to_cost_model(),
         )
+        schedule = config.problem.schedule()
         field = random_field(args.shape, seed=args.seed)
         result, run_res = MultipartExecutor(
-            plan.partitioning, args.shape, machine, record_events=True
-        ).run(field, prob.schedule())
-        err = float(
-            np.abs(result - run_sequential(field, prob.schedule())).max()
-        )
-        print(plan.describe(), file=out)
+            config.partitioning, args.shape, machine, record_events=True
+        ).run(field, schedule)
+        err = float(np.abs(result - run_sequential(field, schedule)).max())
+        print(config.plan.describe(), file=out)
         print(ascii_timeline(run_res, width=args.width), file=out)
         print(format_breakdown(op_breakdown(run_res)), file=out)
         print(

@@ -45,35 +45,18 @@ CHAOS_SCHEMA = "repro.chaos-report.v1"
 DEFAULT_DROP_RATES = (0.0, 0.02, 0.05, 0.1, 0.2)
 
 
-def _build(app: str, shape: tuple[int, ...], p: int, machine_name: str):
-    """(problem, schedule, partitioning, machine) for one configuration."""
-    from repro.apps.adi import ADIProblem
-    from repro.apps.bt import BTProblem, bt_plan
-    from repro.apps.sp import SPProblem
-    from repro.core.api import plan_multipartitioning
-    from repro.simmpi.machine import bus, ethernet_cluster, origin2000
+def _plan(app: str, shape: tuple[int, ...], p: int, machine_name: str):
+    """(config, machine) for one configuration on a preset machine."""
+    from repro.apps import plan_app
+    from repro.simmpi.machine import PRESETS
 
-    machines = {
-        "origin2000": origin2000,
-        "ethernet_cluster": ethernet_cluster,
-        "bus": bus,
-    }
-    machine = machines[machine_name]()
-    cls = {"sp": SPProblem, "bt": BTProblem, "adi": ADIProblem}[app]
-    problem = cls(tuple(shape), steps=1)
-    if app == "bt":
-        plan = bt_plan(tuple(shape), p, machine.to_cost_model())
-    else:
-        plan = plan_multipartitioning(
-            tuple(shape), p, machine.to_cost_model()
-        )
-    return problem, problem.schedule(), plan.partitioning, machine
+    machine = PRESETS[machine_name]()
+    config = plan_app(app, shape, p, cost_model=machine.to_cost_model())
+    return config, machine
 
 
 def _skeleton_run(
-    problem,
-    schedule,
-    partitioning,
+    config,
     machine,
     faults: FaultPlan | None = None,
     protocol: ProtocolConfig | None = None,
@@ -82,15 +65,15 @@ def _skeleton_run(
     from repro.sweep.multipart import MultipartExecutor
 
     executor = MultipartExecutor(
-        partitioning,
-        problem.field_shape,
+        config.partitioning,
+        config.problem.field_shape,
         machine,
         payload="skeleton",
         record_events=record_events,
         faults=faults,
         protocol=protocol,
     )
-    return executor.run_skeleton(schedule)
+    return executor.run_skeleton(config.problem.schedule())
 
 
 def degradation_curve(
@@ -109,16 +92,13 @@ def degradation_curve(
     fixed cost of acknowledgements.
     """
     protocol = protocol or ProtocolConfig()
-    problem, schedule, partitioning, mach = _build(app, shape, p, machine)
-    baseline = _skeleton_run(
-        problem, schedule, partitioning, mach, protocol=protocol
-    )
+    config, mach = _plan(app, shape, p, machine)
+    baseline = _skeleton_run(config, mach, protocol=protocol)
     points = []
     for rate in drop_rates:
         plan = FaultPlan(seed=seed, drop_rate=rate)
         result = _skeleton_run(
-            problem, schedule, partitioning, mach,
-            faults=plan, protocol=protocol,
+            config, mach, faults=plan, protocol=protocol
         )
         points.append(
             {
@@ -162,21 +142,16 @@ def resilience_ranking(
     protocol = protocol or ProtocolConfig()
     entries = []
     for p in ps:
-        problem, schedule, partitioning, mach = _build(
-            app, shape, p, machine
-        )
-        base = _skeleton_run(
-            problem, schedule, partitioning, mach, protocol=protocol
-        )
+        config, mach = _plan(app, shape, p, machine)
+        base = _skeleton_run(config, mach, protocol=protocol)
         plan = FaultPlan(seed=seed, drop_rate=drop_rate)
         faulty = _skeleton_run(
-            problem, schedule, partitioning, mach,
-            faults=plan, protocol=protocol,
+            config, mach, faults=plan, protocol=protocol
         )
         entries.append(
             {
                 "p": p,
-                "gammas": list(partitioning.gammas),
+                "gammas": list(config.partitioning.gammas),
                 "baseline_makespan": base.makespan,
                 "faulty_makespan": faulty.makespan,
                 "slowdown": (
@@ -222,10 +197,8 @@ def straggler_shift(
     from repro.faults.inject import FaultInjector
     from repro.obs.critical import critical_path
 
-    problem, schedule, partitioning, mach = _build(app, shape, p, machine)
-    base = _skeleton_run(
-        problem, schedule, partitioning, mach, record_events=True
-    )
+    config, mach = _plan(app, shape, p, machine)
+    base = _skeleton_run(config, mach, record_events=True)
     base_path = critical_path(base.trace.events, base.clocks)
 
     # find the first seed whose hash actually slows somebody (rate 1/p
@@ -244,10 +217,7 @@ def straggler_shift(
         raise RuntimeError("no seed in range selected a straggler rank")
     stragglers = FaultInjector(plan, p).straggler_ranks()
 
-    slow = _skeleton_run(
-        problem, schedule, partitioning, mach,
-        faults=plan, record_events=True,
-    )
+    slow = _skeleton_run(config, mach, faults=plan, record_events=True)
     slow_path = critical_path(slow.trace.events, slow.clocks)
 
     def _decompose(path) -> dict:

@@ -22,8 +22,6 @@ from .derive import (
 
 __all__ = ["build_profile", "format_profile", "run_profiled_app"]
 
-APPS = ("sp", "bt", "adi")
-
 
 def build_profile(
     events: list[TraceEvent], clocks: tuple[float, ...]
@@ -173,46 +171,21 @@ def run_profiled_app(
     annotations, so the recorded events are ready for
     :func:`build_profile`.
     """
-    from repro.apps.workloads import random_field
-    from repro.core.api import plan_multipartitioning
+    from repro.apps import plan_app, random_field
     from repro.simmpi.machine import origin2000
     from repro.sweep.multipart import MultipartExecutor
 
     if machine is None:
         machine = origin2000()
-    if app == "sp":
-        from repro.apps.sp import SPProblem
-
-        prob = SPProblem(shape=shape, steps=steps)
-        schedule = prob.schedule()
-        plan = plan_multipartitioning(
-            shape, nprocs, machine.to_cost_model()
-        )
-        field = random_field(shape)
-    elif app == "bt":
-        from repro.apps.bt import BTProblem, bt_plan
-
-        prob = BTProblem(shape=shape, steps=steps)
-        schedule = prob.schedule()
-        plan = bt_plan(shape, nprocs, machine.to_cost_model())
-        field = random_field(prob.field_shape)
-        shape = prob.field_shape
-    elif app == "adi":
-        from repro.apps.adi import ADIProblem
-
-        prob = ADIProblem(shape=shape, steps=steps)
-        schedule = prob.schedule()
-        plan = plan_multipartitioning(
-            shape, nprocs, machine.to_cost_model()
-        )
-        field = random_field(shape)
-    else:
-        raise ValueError(f"unknown app {app!r}; expected one of {APPS}")
+    config = plan_app(
+        app, shape, nprocs, steps=steps, cost_model=machine.to_cost_model()
+    )
+    field_shape = config.problem.field_shape
     executor = MultipartExecutor(
-        plan.partitioning,
-        shape,
+        config.partitioning,
+        field_shape,
         machine,
         record_events=record_events,
         sinks=sinks,
     )
-    return executor.run(field, schedule)
+    return executor.run(random_field(field_shape), config.problem.schedule())

@@ -65,22 +65,10 @@ def resolve_faults(spec: ExperimentSpec):
 def resolve_machine(spec: ExperimentSpec):
     """Build the MachineModel a spec names (presets + field overrides)."""
     from repro.core.cost import NetworkScaling
-    from repro.simmpi.machine import (
-        MachineModel,
-        bus,
-        ethernet_cluster,
-        origin2000,
-    )
+    from repro.simmpi.machine import PRESETS, MachineModel
 
-    presets = {
-        "origin2000": origin2000,
-        "ethernet_cluster": ethernet_cluster,
-        "bus": bus,
-    }
-    if spec.machine in presets:
-        machine = presets[spec.machine]()
-    else:  # "generic" or "default" — plain constructor defaults
-        machine = MachineModel()
+    # "generic" or "default" — plain constructor defaults
+    machine = PRESETS.get(spec.machine, MachineModel)()
     overrides = dict(spec.machine_params)
     if "network" in overrides:
         overrides["network"] = NetworkScaling(overrides["network"])
@@ -108,85 +96,6 @@ def resolve_cost_model(spec: ExperimentSpec):
     return base
 
 
-def _problem_for(spec: ExperimentSpec):
-    """(problem, field_shape) for the spec's app."""
-    from repro.apps.adi import ADIProblem
-    from repro.apps.bt import BTProblem
-    from repro.apps.sp import SPProblem
-
-    cls = {"sp": SPProblem, "bt": BTProblem, "adi": ADIProblem}[spec.app]
-    prob = cls(spec.shape, steps=spec.steps)
-    return prob, prob.field_shape
-
-
-def _plan_for(spec: ExperimentSpec, cost_model):
-    """(partitioning, gammas, cost, candidates_examined, compact)."""
-    from repro.apps.bt import bt_plan
-    from repro.core.api import plan_multipartitioning
-    from repro.core.cost import Objective
-    from repro.core.diagonal import diagonal_applicable, diagonal_nd
-    from repro.core.mapping import Multipartitioning
-
-    d = len(spec.shape)
-    if spec.partitioner == "diagonal":
-        if spec.app == "bt":
-            raise ValueError(
-                "diagonal partitioner does not support BT's component axis"
-            )
-        if not diagonal_applicable(spec.p, d):
-            raise ValueError(
-                f"no diagonal multipartitioning of p={spec.p} in {d}-D"
-            )
-        partitioning = Multipartitioning(
-            owner=diagonal_nd(spec.p, d), nprocs=spec.p
-        )
-        return partitioning, partitioning.gammas, None, 0, True
-    objective = Objective(spec.objective)
-    if spec.app == "bt":
-        plan = bt_plan(spec.shape, spec.p, cost_model)
-    else:
-        plan = plan_multipartitioning(
-            spec.shape, spec.p, cost_model, objective
-        )
-    return (
-        plan.partitioning,
-        plan.gammas,
-        float(plan.choice.cost),
-        plan.choice.candidates_examined,
-        plan.choice.is_compact(),
-    )
-
-
-def _verify_spec(spec: ExperimentSpec, problem, field_shape, partitioning):
-    """Static pre-flight over the exact configuration this spec will run:
-    communication analyses on the extracted rank-program IR plus the
-    paper-invariant proof pass.  Returns a VerifyReport."""
-    from repro.sweep.multipart import MultipartExecutor
-    from repro.verify import (
-        VerifyReport,
-        check_invariants,
-        extract_program_ir,
-        verify_ir,
-    )
-
-    machine = resolve_machine(spec)
-    executor = MultipartExecutor(
-        partitioning,
-        field_shape,
-        machine,
-        record_events=True,
-        payload="skeleton",
-    )
-    invariants, certificate = check_invariants(partitioning)
-    ir = extract_program_ir(executor, problem.schedule())
-    matching, deadlock, races = verify_ir(ir)
-    return VerifyReport(
-        config={"spec": spec.to_canonical()},
-        analyses=(matching, deadlock, races, invariants),
-        certificate=certificate,
-    )
-
-
 def run_spec(spec: ExperimentSpec, verify: bool = False) -> dict:
     """Execute one experiment and return its JSON-serializable result.
 
@@ -195,13 +104,28 @@ def run_spec(spec: ExperimentSpec, verify: bool = False) -> dict:
     structured ``{"error": ...}`` result carrying the full report — which
     the batch runner never caches, so the cache schema is unaffected.
     """
-    cost_model = resolve_cost_model(spec)
-    problem, field_shape = _problem_for(spec)
-    partitioning, gammas, cost, examined, compact = _plan_for(
-        spec, cost_model
+    from repro.apps import plan_app
+
+    config = plan_app(
+        spec.app,
+        spec.shape,
+        spec.p,
+        steps=spec.steps,
+        partitioner=spec.partitioner,
+        cost_model=resolve_cost_model(spec),
+        objective=spec.objective,
     )
     if verify:
-        report = _verify_spec(spec, problem, field_shape, partitioning)
+        from repro.verify import VerifyReport, verify_planned
+
+        analyses, certificate, _ = verify_planned(
+            config, resolve_machine(spec)
+        )
+        report = VerifyReport(
+            config={"spec": spec.to_canonical()},
+            analyses=analyses,
+            certificate=certificate,
+        )
         if not report.ok:
             return {
                 "schema": SCHEMA_TAG,
@@ -209,13 +133,17 @@ def run_spec(spec: ExperimentSpec, verify: bool = False) -> dict:
                 "error": f"verification failed: {report.summary()}",
                 "verify": report.to_dict(),
             }
+    plan = config.plan
     result: dict = {
         "schema": SCHEMA_TAG,
         "spec": spec.to_canonical(),
-        "gammas": list(gammas),
-        "cost": cost,
-        "candidates_examined": examined,
-        "compact": compact,
+        "gammas": list(config.partitioning.gammas),
+        # the diagonal partitioner runs no optimizer and is always compact
+        "cost": None if plan is None else float(plan.choice.cost),
+        "candidates_examined": (
+            0 if plan is None else plan.choice.candidates_examined
+        ),
+        "compact": True if plan is None else plan.choice.is_compact(),
     }
     if spec.mode == "plan":
         return result
@@ -223,6 +151,9 @@ def run_spec(spec: ExperimentSpec, verify: bool = False) -> dict:
     from repro.sweep.sequential import sequential_time
 
     machine = resolve_machine(spec)
+    problem = config.problem
+    field_shape = problem.field_shape
+    partitioning = config.partitioning
     schedule = problem.schedule()
     t_seq = sequential_time(field_shape, schedule, machine)
     result["sequential_time"] = float(t_seq)

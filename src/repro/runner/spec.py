@@ -46,8 +46,9 @@ SCHEMA_TAG = "repro.sweep-result.v3"
 
 MODES = ("plan", "modeled", "simulated", "skeleton")
 APPS = ("sp", "bt", "adi")
-#: preset machine names (resolved in repro.runner.execute); "default" means
-#: the plain analytic CostModel() and is only meaningful in plan mode
+#: machine names: the presets of repro.simmpi.machine.PRESETS, "generic"
+#: (MachineModel defaults) and "default", which means the plain analytic
+#: CostModel() and is only meaningful in plan mode
 MACHINES = ("origin2000", "ethernet_cluster", "bus", "generic", "default")
 PARTITIONERS = ("optimal", "diagonal")
 OBJECTIVES = ("full", "phases", "volume")
@@ -257,22 +258,13 @@ def machine_spec_fields(machine) -> tuple[str, tuple[tuple[str, float], ...]]:
     Topology-carrying machines are rejected — a topology object has no
     canonical JSON form.
     """
-    from repro.simmpi.machine import (
-        bus,
-        ethernet_cluster,
-        origin2000,
-    )
+    from repro.simmpi.machine import PRESETS
 
     if machine.topology is not None or machine.per_hop_latency:
         raise ValueError(
             "machines with a topology cannot be encoded in a sweep spec"
         )
-    presets = {
-        "origin2000": origin2000,
-        "ethernet_cluster": ethernet_cluster,
-        "bus": bus,
-    }
-    factory = presets.get(machine.name)
+    factory = PRESETS.get(machine.name)
     if factory is not None and machine == factory():
         return machine.name, ()
     return "generic", (

@@ -31,7 +31,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.core.cost import CostModel, NetworkScaling
 
-__all__ = ["MachineModel", "origin2000", "ethernet_cluster", "bus"]
+__all__ = ["MachineModel", "PRESETS", "origin2000", "ethernet_cluster", "bus"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,3 +164,12 @@ def bus() -> MachineModel:
         network=NetworkScaling.BUS,
         tile_overhead=1.2e-4,
     )
+
+
+#: preset name -> factory; the names a sweep spec's ``machine`` field and
+#: ``repro chaos --machine`` resolve
+PRESETS: dict[str, typing.Callable[[], MachineModel]] = {
+    "origin2000": origin2000,
+    "ethernet_cluster": ethernet_cluster,
+    "bus": bus,
+}

@@ -4,6 +4,8 @@ Public surface:
 
 * :func:`verify_config` — plan + prove + analyze one ``(app, shape, p)``
   configuration, producing a ``repro.verify-report.v1`` document;
+* :func:`verify_planned` — prove + analyze a configuration already planned
+  by :func:`repro.apps.plan_app` (the runner's ``verify=True`` pre-flight);
 * :func:`verify_ir` — the communication analyses over an already-extracted
   :class:`ProgramIR`;
 * :func:`extract_program_ir` — lower an executor's compiled per-rank op
@@ -18,7 +20,7 @@ The determinism lint lives in :mod:`repro.verify.lint` and is runnable as
 """
 
 from .abstract import AbstractRun, execute_abstract
-from .checker import build_configuration, verify_config, verify_ir
+from .checker import verify_config, verify_ir, verify_planned
 from .deadlock import check_deadlock
 from .invariants import check_invariants
 from .ir import (
@@ -45,7 +47,6 @@ __all__ = [
     "ProgramIR",
     "VerifyReport",
     "Violation",
-    "build_configuration",
     "check_deadlock",
     "check_invariants",
     "check_matching",
@@ -56,4 +57,5 @@ __all__ = [
     "vector_clocks",
     "verify_config",
     "verify_ir",
+    "verify_planned",
 ]

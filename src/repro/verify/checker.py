@@ -4,8 +4,9 @@
 runs before committing simulator (or cluster) time to a user-submitted
 ``(app, shape, p)``:
 
-1. plan the multipartitioning exactly as the runner would (same optimizer,
-   same diagonal/BT special cases);
+1. plan the configuration with :func:`repro.apps.plan_app`, the one
+   builder every entry point plans through (so the verifier judges exactly
+   the owner table the runner executes);
 2. run the **paper-invariant proof pass** on the concrete assignment;
 3. extract the **rank-program IR** (the compiled op lists, no engine);
 4. run **send/recv matching**, **deadlock**, and **message-race** analyses
@@ -16,8 +17,11 @@ configuration is structurally sound — every message has exactly one
 receiver, no wait-for cycle exists, delivery order is fully determined,
 and the mapping provably satisfies the validity/balance/neighbor theorems.
 
-``verify_ir`` exposes steps 3–4 for callers that already hold an IR (the
-mutation self-test harness corrupts IRs and feeds them back through it).
+``verify_planned`` is steps 2–4 over an already planned configuration; the
+runner's ``verify=True`` pre-flight calls it on the configuration it is
+about to run.  ``verify_ir`` exposes the analyses of step 4 for callers
+that already hold an IR (the mutation self-test harness corrupts IRs and
+feeds them back through it).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .matching import check_matching
 from .races import check_races
 from .report import AnalysisResult, VerifyReport
 
-__all__ = ["verify_config", "verify_ir", "build_configuration"]
+__all__ = ["verify_config", "verify_ir", "verify_planned"]
 
 
 def verify_ir(ir: ProgramIR) -> tuple[AnalysisResult, ...]:
@@ -45,79 +49,38 @@ def verify_ir(ir: ProgramIR) -> tuple[AnalysisResult, ...]:
     )
 
 
-def build_configuration(
-    app: str,
-    shape: tuple[int, ...],
-    p: int,
-    steps: int = 1,
-    aggregate: bool = True,
-    partitioner: str = "optimal",
-    machine: Any = None,
-    stencil_rhs: bool = False,
-) -> tuple[Any, Any, Any, Any]:
-    """(executor, schedule, partitioning, mapping) for a configuration.
+def verify_planned(
+    config: Any, machine: Any, aggregate: bool = True
+) -> tuple[tuple[AnalysisResult, ...], dict[str, Any], dict[str, int]]:
+    """Proof pass + communication analyses over one planned configuration.
 
-    Mirrors the planning path of :func:`repro.runner.execute.run_spec` —
-    the verifier must judge exactly the configuration the runner would
-    execute.
+    ``config`` is a :class:`repro.apps.AppConfig`; its rank programs are
+    compiled for ``machine`` with phase marks on.  Returns ``(analyses,
+    certificate, ir_stats)`` with the analyses in report order (matching,
+    deadlock, races, invariants).
     """
-    from repro.apps.adi import ADIProblem
-    from repro.apps.bt import BTProblem, bt_plan
-    from repro.apps.sp import SPProblem
-    from repro.core.api import plan_multipartitioning
-    from repro.core.diagonal import diagonal_applicable, diagonal_nd
-    from repro.core.mapping import Multipartitioning
-    from repro.simmpi.machine import origin2000
     from repro.sweep.multipart import MultipartExecutor
 
-    if machine is None:
-        machine = origin2000()
-    if app == "sp":
-        problem = SPProblem(shape, steps=steps, stencil_rhs=stencil_rhs)
-    elif app == "bt":
-        problem = BTProblem(shape, steps=steps)
-    elif app == "adi":
-        problem = ADIProblem(shape, steps=steps)
-    else:
-        raise ValueError(f"unknown app {app!r} (expected sp, bt or adi)")
-
-    mapping = None
-    if partitioner == "diagonal":
-        if app == "bt":
-            raise ValueError(
-                "diagonal partitioner does not support BT's component axis"
-            )
-        d = len(shape)
-        if not diagonal_applicable(p, d):
-            raise ValueError(
-                f"no diagonal multipartitioning of p={p} in {d}-D"
-            )
-        partitioning = Multipartitioning(owner=diagonal_nd(p, d), nprocs=p)
-    elif partitioner == "optimal":
-        cost_model = machine.to_cost_model()
-        if app == "bt":
-            plan = bt_plan(shape, p, cost_model)
-        else:
-            plan = plan_multipartitioning(shape, p, cost_model)
-        partitioning = plan.partitioning
-        mapping = plan.mapping
-        if mapping.dims_in != partitioning.ndim:
-            # BT embeds a 3-D plan into a 4-D field (STAR component axis);
-            # the mapping certifies the spatial axes only, so the proof
-            # pass falls back to the owner table itself
-            mapping = None
-    else:
-        raise ValueError(f"unknown partitioner {partitioner!r}")
-
+    invariant_result, certificate = check_invariants(
+        config.partitioning, mapping=config.mapping
+    )
     executor = MultipartExecutor(
-        partitioning,
-        problem.field_shape,
+        config.partitioning,
+        config.problem.field_shape,
         machine,
         aggregate=aggregate,
         record_events=True,  # enables phase marks in the extracted IR
         payload="skeleton",
     )
-    return executor, problem.schedule(), partitioning, mapping
+    ir = extract_program_ir(executor, config.problem.schedule())
+    matching, deadlock, races = verify_ir(ir)
+    stats = {
+        "ranks": ir.nprocs,
+        "ops": ir.total_ops,
+        "messages": ir.total_sends,
+        "bytes": ir.total_send_bytes,
+    }
+    return (matching, deadlock, races, invariant_result), certificate, stats
 
 
 def verify_config(
@@ -127,7 +90,6 @@ def verify_config(
     steps: int = 1,
     aggregate: bool = True,
     partitioner: str = "optimal",
-    machine: Any = None,
     stencil_rhs: bool = False,
     protocol: bool = False,
 ) -> VerifyReport:
@@ -140,6 +102,9 @@ def verify_config(
     (pairwise automaton progress + the wrapper's any-source servicing; see
     that module's docstring for the composition argument).
     """
+    from repro.apps import plan_app
+    from repro.simmpi.machine import origin2000
+
     config: dict[str, Any] = {
         "app": app,
         "shape": list(int(s) for s in shape),
@@ -149,15 +114,15 @@ def verify_config(
         "partitioner": partitioner,
         "stencil_rhs": bool(stencil_rhs),
     }
+    machine = origin2000()
     try:
-        executor, schedule, partitioning, mapping = build_configuration(
+        planned = plan_app(
             app,
-            tuple(shape),
+            shape,
             p,
             steps=steps,
-            aggregate=aggregate,
             partitioner=partitioner,
-            machine=machine,
+            cost_model=machine.to_cost_model(),
             stencil_rhs=stencil_rhs,
         )
     except ValueError as exc:
@@ -183,20 +148,11 @@ def verify_config(
             ),
         )
 
-    config["gammas"] = list(partitioning.gammas)
-    invariant_result, certificate = check_invariants(
-        partitioning, p=partitioning.nprocs, mapping=mapping
+    config["gammas"] = list(planned.partitioning.gammas)
+    analyses, certificate, ir_stats = verify_planned(
+        planned, machine, aggregate=aggregate
     )
-    ir = extract_program_ir(executor, schedule)
-    matching, deadlock, races = verify_ir(ir)
-    stats_extra = {
-        "ranks": ir.nprocs,
-        "ops": ir.total_ops,
-        "messages": ir.total_sends,
-        "bytes": ir.total_send_bytes,
-    }
-    config["ir"] = stats_extra
-    analyses = (matching, deadlock, races, invariant_result)
+    config["ir"] = ir_stats
     if protocol:
         from .protocol import check_protocol
 
@@ -205,7 +161,7 @@ def verify_config(
         result = AnalysisResult(
             name=result.name,
             violations=result.violations,
-            stats={**result.stats, "config_channels": ir.total_sends},
+            stats={**result.stats, "config_channels": ir_stats["messages"]},
         )
         analyses = analyses + (result,)
     return VerifyReport(

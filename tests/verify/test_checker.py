@@ -7,7 +7,7 @@ import pytest
 
 from repro.runner import ExperimentSpec
 from repro.runner.execute import run_spec
-from repro.verify import SCHEMA, verify_config
+from repro.verify import SCHEMA, VerifyReport, verify_config
 
 
 class TestStandardGrid:
@@ -95,3 +95,20 @@ class TestRunnerPreFlight:
         result = run_spec(spec, verify=True)
         assert "error" not in result
         assert result["modeled_time"] > 0
+
+    @pytest.mark.parametrize("app", ["sp", "bt", "adi"])
+    def test_failing_pre_flight_certifies_like_check(self, app, monkeypatch):
+        """The pre-flight proves the same certificate ``repro check`` does —
+        for SP and ADI that includes the modular-mapping cross-check; BT's
+        3-D mapping does not describe its 4-D owner table, so it has none."""
+        monkeypatch.setattr(VerifyReport, "ok", property(lambda self: False))
+        spec = ExperimentSpec(app=app, shape=(12, 12, 12), p=6, mode="plan")
+        certificate = run_spec(spec, verify=True)["verify"]["certificate"]
+        check = verify_config(app, (12, 12, 12), 6).to_dict()
+        assert certificate == check["certificate"]
+        mapping_keys = {"mapping_consistent", "matrix", "moduli"}
+        if app == "bt":
+            assert not mapping_keys & set(certificate)
+        else:
+            assert mapping_keys <= set(certificate)
+            assert certificate["mapping_consistent"] is True

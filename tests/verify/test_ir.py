@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.apps import plan_app
+from repro.simmpi.machine import origin2000
 from repro.simmpi.message import (
     PHASE_BEGIN,
     PHASE_END,
@@ -12,9 +14,24 @@ from repro.simmpi.message import (
     SendOp,
 )
 from repro.simmpi.program import record_ops
+from repro.sweep.multipart import MultipartExecutor
 from repro.verify import IRRecv, IRSend, ProgramIR, extract_program_ir
-from repro.verify.checker import build_configuration
 from repro.verify.ir import _lower_rank
+
+
+def skeleton_config(app, shape, p):
+    """(executor, schedule) as ``repro check`` compiles them: phase marks
+    on, skeleton payloads, the Origin 2000 machine."""
+    machine = origin2000()
+    config = plan_app(app, shape, p, cost_model=machine.to_cost_model())
+    executor = MultipartExecutor(
+        config.partitioning,
+        config.problem.field_shape,
+        machine,
+        record_events=True,
+        payload="skeleton",
+    )
+    return executor, config.problem.schedule()
 
 
 class TestRecordOps:
@@ -83,7 +100,7 @@ class TestExtraction:
         """The extracted IR declares exactly the messages the engine moves:
         same count, same total bytes — the engine run is the oracle for the
         per-rank extraction's soundness."""
-        executor, schedule, _, _ = build_configuration(app, (8, 8, 8), p)
+        executor, schedule = skeleton_config(app, (8, 8, 8), p)
         ir = extract_program_ir(executor, schedule)
         run = executor.run_skeleton(schedule)
         assert ir.nprocs == p
@@ -95,13 +112,13 @@ class TestExtraction:
             assert any(isinstance(op, IRRecv) for op in ops)
 
     def test_phases_annotated_when_marks_enabled(self):
-        executor, schedule, _, _ = build_configuration("sp", (8, 8, 8), 4)
+        executor, schedule = skeleton_config("sp", (8, 8, 8), 4)
         ir = extract_program_ir(executor, schedule)
         phases = {op.phase for op in ir.sends()}
         assert phases and all(p for p in phases)
 
     def test_replace_rank_substitutes_one_rank(self):
-        executor, schedule, _, _ = build_configuration("sp", (8, 8, 8), 2)
+        executor, schedule = skeleton_config("sp", (8, 8, 8), 2)
         ir = extract_program_ir(executor, schedule)
         mutated = ir.replace_rank(0, ())
         assert mutated.ranks[0] == ()

@@ -13,6 +13,9 @@ import json
 
 import pytest
 
+from repro.apps import plan_app
+from repro.simmpi.machine import origin2000
+from repro.sweep.multipart import MultipartExecutor
 from repro.verify import (
     IRRecv,
     IRSend,
@@ -20,16 +23,23 @@ from repro.verify import (
     extract_program_ir,
     verify_ir,
 )
-from repro.verify.checker import build_configuration
 
 
 @pytest.fixture(scope="module")
 def config():
-    executor, schedule, partitioning, mapping = build_configuration(
-        "sp", (8, 8, 8), 4
+    machine = origin2000()
+    planned = plan_app(
+        "sp", (8, 8, 8), 4, cost_model=machine.to_cost_model()
     )
-    ir = extract_program_ir(executor, schedule)
-    return ir, partitioning, mapping
+    executor = MultipartExecutor(
+        planned.partitioning,
+        planned.problem.field_shape,
+        machine,
+        record_events=True,
+        payload="skeleton",
+    )
+    ir = extract_program_ir(executor, planned.problem.schedule())
+    return ir, planned.partitioning, planned.mapping
 
 
 @pytest.fixture(scope="module")
