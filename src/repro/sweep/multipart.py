@@ -21,15 +21,18 @@ that same compiled program:
   the tests) and the simulator's :class:`RunResult` (virtual time, message
   and byte counts).
 * **skeleton mode** (``payload="skeleton"``, or :meth:`MultipartExecutor
-  .run_skeleton` directly) replays the compiled ops as they are: declared
+  .run_skeleton` directly) times the compiled ops as they are: declared
   byte counts (:class:`~repro.simmpi.message.Bytes`) and compute charges
   from tile geometry, no scatter, scan or gather.  That is what lets
   class-A/B (64^3 / 102^3) problems at p <= 64 simulate in seconds: the
   paper's Table 1 claims are about communication structure and timing,
-  none of which needs the payload data.
+  none of which needs the payload data.  A fault-free, unobserved run on
+  a non-bus machine goes through the static replay
+  (:func:`~repro.simmpi.engine.replay_static`); every other run replays
+  the ops through the engine.
 
 Both modes issue the identical op sequence, so their clocks, makespan,
-message counts and byte totals agree bit for bit by construction.
+message counts and byte totals agree bit for bit.
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ from typing import Generator
 
 import numpy as np
 
+from repro.core.cost import NetworkScaling
 from repro.core.mapping import Multipartitioning
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.protocol import ProtocolConfig, ReliableComm
 from repro.simmpi.comm import Comm
-from repro.simmpi.engine import run_programs
+from repro.simmpi.engine import replay_static, run_programs
 from repro.simmpi.machine import MachineModel
 from repro.simmpi.message import RecvOp, SendOp
 from repro.simmpi.trace import RunResult
@@ -232,14 +236,24 @@ class MultipartExecutor:
         """Execute ``schedule`` payload-free and return the
         :class:`~repro.simmpi.trace.RunResult` only.
 
-        The engine replays the same compiled ops :meth:`run` interprets —
-        same sends (by tag and byte count), receives, compute durations and
-        phase marks — so clocks, makespan, message counts, and byte totals
-        match real-data mode bit-for-bit; only the array contents are
-        absent."""
-        # the replay needs no sites; dropping them before the engine runs
+        The same compiled ops :meth:`run` interprets — same sends (by tag
+        and byte count), receives, compute durations and phase marks — are
+        timed, so clocks, makespan, message counts, and byte totals match
+        real-data mode bit-for-bit; only the array contents are absent.
+        With no faults, protocol or observers on a non-bus machine the ops
+        go through :func:`~repro.simmpi.engine.replay_static`, which gives
+        the engine's result without its event loop."""
+        # the replay needs no sites; dropping them before the ops run
         # keeps them out of the run's peak memory
         ops = self.compile(schedule).ops
+        if (
+            self.faults is None
+            and self.protocol is None
+            and not self.record_events
+            and not self.sinks
+            and self.machine.network is not NetworkScaling.BUS
+        ):
+            return replay_static(self.machine, ops)
         comms = [
             self._make_comm(rank) for rank in range(self.partitioning.nprocs)
         ]
@@ -273,7 +287,6 @@ class MultipartExecutor:
                     yield from comm.recv(op.source, op.tag)
                 else:
                     yield op
-        return comm.rank
 
     def _interpret(
         self,
