@@ -47,9 +47,9 @@ class RunSummary:
     total_bytes: int
     compute_seconds: float
     #: aggregate send/recv CPU seconds and blocked-waiting seconds across
-    #: ranks; 0.0 for summaries deserialized from pre-v2 documents
-    comm_seconds: float = 0.0
-    blocked_seconds: float = 0.0
+    #: ranks
+    comm_seconds: float
+    blocked_seconds: float
     #: fault-injection counters; always serialized (all-zero when the run
     #: had no injector) so fault-free and zero-plan results are identical
     faults: tuple[tuple[str, int], ...] = tuple(
@@ -109,8 +109,8 @@ class RunSummary:
             message_count=int(doc["message_count"]),
             total_bytes=int(doc["total_bytes"]),
             compute_seconds=float(doc["compute_seconds"]),
-            comm_seconds=float(doc.get("comm_seconds", 0.0)),
-            blocked_seconds=float(doc.get("blocked_seconds", 0.0)),
+            comm_seconds=float(doc["comm_seconds"]),
+            blocked_seconds=float(doc["blocked_seconds"]),
             faults=tuple(
                 sorted(_canon_counts(doc.get("faults")).items())
             ),

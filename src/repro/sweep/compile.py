@@ -15,7 +15,9 @@ from and the tiles it covers.
 Everything that needs a multipartitioned schedule's behaviour reads the
 compiled program:
 
-* skeleton mode replays the ops through the engine;
+* skeleton mode times the ops with the static replay
+  (:func:`repro.simmpi.engine.replay_static`), or through the engine when
+  faults, the reliable protocol, observers or a bus network are involved;
 * real-data mode interprets them, running the numpy kernels at compute
   entries and packing payloads at sends;
 * the static verifier lowers them to its IR (:mod:`repro.verify.ir`);

@@ -9,8 +9,8 @@ cannot run any computation of the underlying schedule.
 
 Extraction lowers the executor's compiled schedule
 (:meth:`repro.sweep.multipart.MultipartExecutor.compile`): the same
-per-rank op lists the engine replays in skeleton mode and the real-data
-interpreter walks, so verdicts about the IR hold for both executions by
+per-rank op lists skeleton mode times and the real-data interpreter
+walks, so verdicts about the IR hold for both executions by
 construction.  No rank program runs and no payload is touched.
 """
 
