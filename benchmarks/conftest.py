@@ -8,18 +8,27 @@ artifacts on disk for EXPERIMENTS.md.
 
 Benches may pass structured ``data`` alongside the text block; everything
 collected in a session is written to ``BENCH_profile.json`` at the repo
-root so the perf/profile trajectory is machine-readable across PRs.
+root, each record stamped with where it was measured (git sha, Python
+version, CPU count, platform).  Every session is also appended as one line
+to ``BENCH_history.jsonl``, so the perf/profile trajectory accumulates
+across commits instead of holding only the last session's subset.
 """
 
 from __future__ import annotations
 
+import datetime
 import json
+import os
 import pathlib
+import platform
+import subprocess
 
 import pytest
 
+_ROOT = pathlib.Path(__file__).parent.parent
 _RESULTS = pathlib.Path(__file__).parent / "results.txt"
-_PROFILE_JSON = pathlib.Path(__file__).parent.parent / "BENCH_profile.json"
+_PROFILE_JSON = _ROOT / "BENCH_profile.json"
+_HISTORY_JSONL = _ROOT / "BENCH_history.jsonl"
 
 _records: list[dict] = []
 
@@ -31,11 +40,37 @@ def pytest_configure(config):
     _records.clear()
 
 
+def _provenance() -> dict:
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=_ROOT, capture_output=True,
+            text=True, check=True,
+        ).stdout.strip() or None
+    except (OSError, subprocess.CalledProcessError):
+        sha = None
+    return {
+        "git_sha": sha,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+    }
+
+
 def pytest_sessionfinish(session, exitstatus):
-    if _records:
-        with _PROFILE_JSON.open("w") as fh:
-            json.dump({"records": _records}, fh, indent=2)
-            fh.write("\n")
+    if not _records:
+        return
+    provenance = _provenance()
+    records = [{**record, "provenance": provenance} for record in _records]
+    with _PROFILE_JSON.open("w") as fh:
+        json.dump({"records": records}, fh, indent=2)
+        fh.write("\n")
+    finished = datetime.datetime.now(datetime.timezone.utc)
+    with _HISTORY_JSONL.open("a") as fh:
+        fh.write(json.dumps({
+            "finished": finished.isoformat(timespec="seconds"),
+            **provenance,
+            "records": _records,
+        }) + "\n")
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,12 @@ the communication-vectorization the dHPF compiler performs (Section 5).
 Setting ``aggregate=False`` sends one message per tile instead (the ablation
 of that optimization).
 
-The executor compiles a :mod:`repro.sweep.ops` schedule once into per-rank
-op lists (:mod:`repro.sweep.compile`) and runs it in one of two modes over
-that same compiled program:
+The executor compiles a :mod:`repro.sweep.ops` schedule once into a
+lockstep program over all ranks (:mod:`repro.sweep.compile`) and runs it in
+one of two modes over that same compiled program:
 
-* **real-data mode** (``payload="data"``) interprets each rank's ops: the
+* **real-data mode** (``payload="data"``) interprets each rank's ops (the
+  per-rank tuples derived from the lockstep program): the
   numpy kernels run at compute entries and the carry/halo payloads are
   packed at sends and unpacked at receives.  It returns both the
   reassembled global array (verified against the sequential reference in
@@ -27,9 +28,10 @@ that same compiled program:
   class-A/B (64^3 / 102^3) problems at p <= 64 simulate in seconds: the
   paper's Table 1 claims are about communication structure and timing,
   none of which needs the payload data.  A fault-free, unobserved run on
-  a non-bus machine goes through the static replay
-  (:func:`~repro.simmpi.engine.replay_static`); every other run replays
-  the ops through the engine.
+  a non-bus machine times the lockstep program itself with the static
+  replay (:func:`~repro.simmpi.engine.replay_static`), one numpy step per
+  op index for all ranks, and builds no per-rank ops; every other run
+  replays the per-rank ops through the engine.
 
 Both modes issue the identical op sequence, so their clocks, makespan,
 message counts and byte totals agree bit for bit.
@@ -240,12 +242,11 @@ class MultipartExecutor:
         and byte count), receives, compute durations and phase marks — are
         timed, so clocks, makespan, message counts, and byte totals match
         real-data mode bit-for-bit; only the array contents are absent.
-        With no faults, protocol or observers on a non-bus machine the ops
-        go through :func:`~repro.simmpi.engine.replay_static`, which gives
-        the engine's result without its event loop."""
-        # the replay needs no sites; dropping them before the ops run
-        # keeps them out of the run's peak memory
-        ops = self.compile(schedule).ops
+        With no faults, protocol or observers on a non-bus machine the
+        lockstep program goes through
+        :func:`~repro.simmpi.engine.replay_static`, which gives the
+        engine's result without its event loop or per-rank ops."""
+        compiled = self.compile(schedule)
         if (
             self.faults is None
             and self.protocol is None
@@ -253,7 +254,8 @@ class MultipartExecutor:
             and not self.sinks
             and self.machine.network is not NetworkScaling.BUS
         ):
-            return replay_static(self.machine, ops)
+            return replay_static(self.machine, compiled.lockstep)
+        ops = compiled.ops
         comms = [
             self._make_comm(rank) for rank in range(self.partitioning.nprocs)
         ]

@@ -39,6 +39,25 @@ class TestPlanStructure:
         assert raw.message_count == agg.message_count * factor
         assert raw.total_elements == agg.total_elements
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_unaggregated_messages_keep_their_phase(self, reverse):
+        """Per-tile messages fall in the phase of the slab they leave."""
+        mp = general_partitioning((6, 6, 3), 6)
+        shape = (24, 24, 23)
+        agg = plan_sweep_comm(mp, shape, axis=0, reverse=reverse)
+        raw = plan_sweep_comm(
+            mp, shape, axis=0, reverse=reverse, aggregate=False
+        )
+        factor = mp.tiles_per_slab_per_rank(0)
+        for phase in range(agg.phases):
+            raw_msgs = raw.messages_in_phase(phase)
+            agg_msgs = agg.messages_in_phase(phase)
+            assert len(raw_msgs) == factor * len(agg_msgs)
+            assert sum(m.elements for m in raw_msgs) == sum(
+                m.elements for m in agg_msgs
+            )
+        assert not raw.messages_in_phase(agg.phases - 1)
+
     def test_total_volume_matches_theory(self):
         """Per phase, the whole cut hyper-surface crosses: eta / eta_axis
         elements, (gamma - 1) times."""
