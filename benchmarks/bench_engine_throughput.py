@@ -1,14 +1,13 @@
 """Raw engine throughput: events/sec traced vs. untraced, and the engine
-vs. the two static replays on a compiled skeleton.
+vs. the lockstep replay on a compiled skeleton.
 
 The null-emit fast path skips ``TraceEvent`` construction entirely when
 ``record_events=False`` and no sinks are attached — this bench records how
 much that is worth against the traced path, measured in the same run.
 
-The skeleton rows time the engine, the worklist
-:func:`~repro.simmpi.engine.replay_static` over per-rank op tuples and the
+The skeleton rows time the engine over per-rank op tuples and the
 lockstep :func:`~repro.simmpi.engine.replay_lockstep` on the same compiled
-SP class-A p=16 program, so their ratios are same-machine measurements.
+SP class-A p=16 program, so their ratio is a same-machine measurement.
 
 Writes ``BENCH_engine.json`` at the repo root.
 """
@@ -20,12 +19,7 @@ import time
 from repro.analysis.report import format_table
 from repro.apps.sp import sp_class
 from repro.core.api import plan_multipartitioning
-from repro.simmpi.engine import (
-    Engine,
-    replay_lockstep,
-    replay_static,
-    run_programs,
-)
+from repro.simmpi.engine import Engine, replay_lockstep, run_programs
 from repro.simmpi.machine import MachineModel, origin2000
 from repro.simmpi.message import Bytes, ComputeOp, RecvOp, SendOp
 from repro.simmpi.summary import RunSummary
@@ -63,7 +57,7 @@ def test_engine_throughput(benchmark, report):
     traced = _ring_ops_per_sec(True)
     untraced = _ring_ops_per_sec(False)
 
-    # the three replays of one compiled real workload, SP class-A p=16:
+    # the two replays of one compiled real workload, SP class-A p=16:
     # ops/sec over its sends, receives and computes, best of 15
     # interleaved trials
     machine = origin2000()
@@ -79,7 +73,6 @@ def test_engine_throughput(benchmark, report):
         "engine": lambda: run_programs(
             machine, [(op for op in rank_ops) for rank_ops in ops]
         ),
-        "worklist": lambda: replay_static(machine, ops),
         "lockstep": lambda: replay_lockstep(machine, compiled.lockstep),
     }
     best = dict.fromkeys(replays, 0.0)
@@ -91,7 +84,7 @@ def test_engine_throughput(benchmark, report):
             dt = time.perf_counter() - t0
             best[name] = max(best[name], n_ops / dt)
             summaries[name] = json.dumps(RunSummary.from_result(res).to_dict())
-    assert summaries["lockstep"] == summaries["worklist"] == summaries["engine"]
+    assert summaries["lockstep"] == summaries["engine"]
     doc = {
         "bench": "engine_throughput",
         "workload": f"ring {_RANKS} ranks x {_ITERS} iters x 3 ops",
@@ -102,10 +95,8 @@ def test_engine_throughput(benchmark, report):
         "skeleton": {
             "workload": f"SP class A p=16, compiled once, {n_ops} ops",
             "engine_ops_per_sec": best["engine"],
-            "worklist_ops_per_sec": best["worklist"],
             "lockstep_ops_per_sec": best["lockstep"],
-            "worklist_over_engine": best["worklist"] / best["engine"],
-            "lockstep_over_worklist": best["lockstep"] / best["worklist"],
+            "lockstep_over_engine": best["lockstep"] / best["engine"],
         },
         "untraced_over_traced": untraced / traced,
     }
@@ -115,20 +106,19 @@ def test_engine_throughput(benchmark, report):
 
     report(
         "Engine throughput: traced vs untraced (null-emit fast path), "
-        "engine vs worklist and lockstep replays (compiled skeleton)",
+        "engine vs lockstep replay (compiled skeleton)",
         format_table(
             ["variant", "ops/sec"],
             [
                 ["traced", f"{traced:,.0f}"],
                 ["untraced", f"{untraced:,.0f}"],
                 ["skeleton, engine", f"{best['engine']:,.0f}"],
-                ["skeleton, worklist", f"{best['worklist']:,.0f}"],
                 ["skeleton, lockstep", f"{best['lockstep']:,.0f}"],
             ],
         ),
         data=doc,
     )
     # same-run ratios only: the fast path must stay decisively ahead of
-    # event construction, and each replay ahead of the one it replaces
+    # event construction, and the lockstep replay ahead of the engine
     assert untraced > 1.5 * traced
-    assert best["lockstep"] >= best["worklist"] >= 1.3 * best["engine"]
+    assert best["lockstep"] >= 1.3 * best["engine"]

@@ -3,11 +3,12 @@ every p <= 1024 that plans, timed layer by layer.
 
 Each count is planned (optimizer, Figure-3 construction and
 ``Multipartitioning`` validation), compiled into one lockstep program (the
-executor's tile geometry included) and timed by the static replay, the
-path ``repro sweep --mode skeleton`` takes.  A count the planner or the tile grid rejects (a gamma
-larger than the extent it cuts) is an *error*, not a failure: it is counted
-and reported, and the run goes on.  Every replayed run's message and byte
-totals are checked against the closed form.
+executor's tile geometry included) and timed by the lockstep replay, the
+path ``repro sweep --mode skeleton`` takes.  A count the planner or the
+tile grid rejects (a gamma larger than the extent it cuts) is an *error*,
+not a failure: it is counted and reported, and the run goes on.  Every
+replayed run's message and byte totals are checked against the closed
+form.
 
 Writes every count's plan / compile / replay milliseconds and op count
 (``null`` for an error) to ``BENCH_skeleton_scale.json`` at the repo root.
@@ -23,7 +24,7 @@ import time
 from repro.analysis.counting import schedule_comm_totals
 from repro.analysis.report import format_table
 from repro.apps import plan_app
-from repro.simmpi.engine import replay_static
+from repro.simmpi.engine import replay_lockstep
 from repro.simmpi.machine import origin2000
 from repro.sweep.multipart import MultipartExecutor
 
@@ -53,9 +54,9 @@ def _run(shape, p, machine):
     schedule = config.problem.schedule()
     compiled = executor.compile(schedule)
     t2 = time.perf_counter()
-    run = replay_static(machine, compiled.lockstep)
-    t3 = time.perf_counter()
     assert compiled.lockstep.paired, p
+    run = replay_lockstep(machine, compiled.lockstep)
+    t3 = time.perf_counter()
     assert (run.message_count, run.total_bytes) == schedule_comm_totals(
         config.problem.field_shape, config.partitioning, schedule
     ), p

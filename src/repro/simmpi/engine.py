@@ -46,50 +46,41 @@ unconditionally, so :class:`~repro.simmpi.trace.RunResult` /
 :class:`~repro.simmpi.summary.RunSummary` report identical numbers with and
 without tracing — pinned by ``tests/simmpi/test_engine_fastpath.py``.
 
-Static replay
--------------
-
-:func:`replay_static` runs fixed per-rank op tuples (a compiled schedule,
-:mod:`repro.sweep.compile`) in one worklist pass, with no generators,
-message objects or wake sweeps: a rank runs until a receive finds its
-``(source, tag)`` FIFO empty, parks, and is re-queued when the awaited send
-is issued, so the makespan comes out as a longest path over the ops.  It
-uses the fast path's float expressions in the same order (``clock = start
-+ send_cpu_time``, ``arrives = clock + transfer_time``, ``start =
-max(arrival, clock)`` with ``blocked += arrival - clock`` only when
-``arrival >= clock``, ``clock = start + recv_cpu_time``, per-rank sums in
-program order, ``compute_seconds`` summed in rank order), so every
-:class:`RunResult` number equals the engine's bit for bit.  The engine's
-result cannot depend on interleaving here: the op lists are fixed, each
-receive names one FIFO channel, sends never block and no clock feeds back
-into control flow.
-
-That argument needs a non-bus network (the shared ``_bus_free_at`` depends
-on the global send order), no fault injection and no wildcard, timed or
-cancellable receives, and no marks (compiled only for observers).
-``replay_static`` raises ``TypeError`` on any op outside that subset
-instead of approximating, and keeps the engine's ``ValueError`` for an
-invalid peer and :class:`SimDeadlockError` message for a stuck run.
-:meth:`~repro.sweep.multipart.MultipartExecutor.run_skeleton` uses it only
-with no faults, protocol, trace or sinks on a non-bus machine.
-
 Lockstep replay
 ---------------
 
-A compiled multipartitioned schedule has more structure: every rank runs
-the same op kinds in the same order (balance property), and each receive's
-message was sent at a lower op index (neighbor property).  The compiler
-emits it as a :class:`Lockstep` program, one :class:`Step` of vectors over
-ranks per op index.  When :attr:`Lockstep.paired` confirms the second
-fact, :func:`replay_lockstep` advances every rank at once, one op index at
-a time, with a few numpy operations.  That is one more interleaving the
-argument above allows, and the float64 elementwise operations are the
-Python-float ones in the same order, so the result is still the engine's
-bit for bit.  The machine's timing functions are called once per distinct
-message size (per ``(src, dst, nbytes)`` with a topology), and
-``compute_seconds`` is a Python ``sum`` in rank order, never a pairwise
-``np.sum``.  ``replay_static`` hands a paired :class:`Lockstep` to
-:func:`replay_lockstep` and runs any other on the worklist.
+A compiled multipartitioned schedule (:mod:`repro.sweep.compile`) runs the
+same op kinds in the same order on every rank (balance property), and
+each receive's message was sent at a lower op index (neighbor property).
+The compiler emits it as a :class:`Lockstep` program, one :class:`Step`
+of vectors over ranks per op index.  When :attr:`Lockstep.paired`
+confirms the second fact, :func:`replay_lockstep` advances every rank at
+once, one op index at a time, with a few numpy operations and no
+generators, message objects or wake sweeps.  It uses the fast path's
+float expressions in the same order (``clock = start + send_cpu_time``,
+``arrives = clock + transfer_time``, ``start = max(arrival, clock)`` with
+``blocked += arrival - clock`` only when ``arrival >= clock``, ``clock =
+start + recv_cpu_time``, per-rank sums in program order) elementwise in
+float64, exactly as the engine's Python floats, so every
+:class:`RunResult` number equals the engine's bit for bit.  The engine's
+result cannot depend on interleaving here: the op lists are fixed, each
+receive names one FIFO channel, sends never block and no clock feeds back
+into control flow, so replaying op index by op index is one more valid
+interleaving.
+
+That argument needs a non-bus network (the shared ``_bus_free_at`` depends
+on the global send order), no fault injection, no wildcard, timed or
+cancellable receives (a :class:`Step` has no field for a timeout or a
+cancel, and the compiler emits no wildcard), and no marks
+(compiled only for observers).  :func:`replay_lockstep` raises
+``ValueError`` on an unpaired program and ``TypeError`` on a mark step
+instead of approximating.  The machine's timing functions are called once
+per distinct message size (per ``(src, dst, nbytes)`` with a topology),
+and ``compute_seconds`` is a Python ``sum`` in rank order, never a
+pairwise ``np.sum``.
+:meth:`~repro.sweep.multipart.MultipartExecutor.run_skeleton` uses it only
+for a paired program with no faults, protocol, trace or sinks on a
+non-bus machine; every other run goes through the engine.
 """
 
 from __future__ import annotations
@@ -97,8 +88,7 @@ from __future__ import annotations
 import dataclasses
 from collections import defaultdict, deque
 from heapq import heappop, heappush
-from itertools import islice
-from typing import Any, Callable, Generator, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Generator, Iterable, NamedTuple
 
 import numpy as np
 
@@ -126,7 +116,6 @@ __all__ = [
     "SimDeadlockError",
     "Engine",
     "run_programs",
-    "replay_static",
     "Step",
     "Lockstep",
     "replay_lockstep",
@@ -788,104 +777,6 @@ def run_programs(
     return engine.run(programs)
 
 
-def replay_static(
-    machine: MachineModel, ops: Sequence[Sequence] | Lockstep
-) -> RunResult:
-    """:func:`run_programs` over generators that yield ``ops``, computed
-    without the event loop (see "Static replay" above).  A paired
-    :class:`Lockstep` program goes to :func:`replay_lockstep`."""
-    nprocs = len(ops)
-    if nprocs < 1:
-        raise ValueError("nprocs must be >= 1")
-    if isinstance(ops, Lockstep):
-        if ops.paired:
-            return replay_lockstep(machine, ops)
-        ops = ops.rank_ops()
-    send_cpu_time = machine.send_cpu_time
-    recv_cpu_time = machine.recv_cpu_time
-    transfer_time = machine.transfer_time
-    clocks, compute_s, comm_s, blocked_s = ([0.0] * nprocs for _ in range(4))
-    pcs = [0] * nprocs
-    # per destination: (source, tag) -> FIFO of (arrival time, nbytes)
-    inbox = [defaultdict(deque) for _ in range(nprocs)]
-    # the (source, tag) each parked rank waits on; None while runnable
-    waiting: list[tuple[int, int] | None] = [None] * nprocs
-    ready = list(range(nprocs))
-    msg_count = total_bytes = 0
-    while ready:
-        rank = ready.pop()
-        rank_ops, mailbox = ops[rank], inbox[rank]
-        clock, compute = clocks[rank], compute_s[rank]
-        comm, blocked = comm_s[rank], blocked_s[rank]
-        for pc, op in enumerate(islice(rank_ops, pcs[rank], None), pcs[rank]):
-            cls = op.__class__
-            if cls is ComputeOp:
-                clock += op.seconds
-                compute += op.seconds
-            elif cls is SendOp:
-                dest = op.dest
-                if not 0 <= dest < nprocs:
-                    raise ValueError(
-                        f"rank {rank}: send to invalid dest {dest}"
-                    )
-                nbytes = payload_nbytes(op.payload)
-                start = clock
-                clock = start + send_cpu_time(nbytes)
-                comm += clock - start
-                key = (rank, op.tag)
-                inbox[dest][key].append(
-                    (clock + transfer_time(nbytes, src=rank, dst=dest), nbytes)
-                )
-                if waiting[dest] == key:
-                    waiting[dest] = None
-                    ready.append(dest)
-                msg_count += 1
-                total_bytes += nbytes
-            elif cls is RecvOp and not (
-                op.source == ANY_SOURCE or op.tag == ANY_TAG
-                or op.timeout >= 0 or op.cancellable
-            ):
-                key = (op.source, op.tag)
-                queue = mailbox.get(key)
-                if not queue:
-                    if not 0 <= op.source < nprocs:
-                        raise ValueError(
-                            f"rank {rank}: recv from invalid source "
-                            f"{op.source}"
-                        )
-                    waiting[rank] = key
-                    break
-                start, nbytes = queue.popleft()
-                if start < clock:
-                    start = clock
-                else:
-                    blocked += start - clock
-                clock = start + recv_cpu_time(nbytes)
-                comm += clock - start
-            else:
-                raise TypeError(
-                    f"rank {rank}: static replay cannot run {op!r}"
-                )
-        else:
-            pc = len(rank_ops)
-        clocks[rank], compute_s[rank] = clock, compute
-        comm_s[rank], blocked_s[rank] = comm, blocked
-        pcs[rank] = pc
-    stuck = [(r, ops[r][pc]) for r, pc in enumerate(pcs) if pc < len(ops[r])]
-    if stuck:
-        raise SimDeadlockError(_deadlock_message(stuck))
-    trace = Trace(enabled=False, message_count=msg_count,
-                  total_bytes=total_bytes, compute_seconds=sum(compute_s))
-    return RunResult(
-        clocks=tuple(clocks),
-        returns=(None,) * nprocs,
-        trace=trace,
-        compute_by_rank=tuple(compute_s),
-        comm_by_rank=tuple(comm_s),
-        blocked_by_rank=tuple(blocked_s),
-    )
-
-
 class Step(NamedTuple):
     """One op index of a :class:`Lockstep` program: the op kind every rank
     runs there, with its operands as vectors over ranks."""
@@ -913,10 +804,9 @@ class Lockstep:
     paired: bool = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
+        if self.nprocs < 1:
+            raise ValueError("nprocs must be >= 1")
         object.__setattr__(self, "paired", self._paired())
-
-    def __len__(self) -> int:
-        return self.nprocs
 
     def _paired(self) -> bool:
         """Whether each receive step's ``match`` is an earlier send step
@@ -965,8 +855,9 @@ class Lockstep:
 
 
 def replay_lockstep(machine: MachineModel, program: Lockstep) -> RunResult:
-    """:func:`replay_static` of a paired lockstep program, every rank
-    advanced together one step at a time (see "Lockstep replay" above)."""
+    """:func:`run_programs` over generators that yield ``program``'s
+    per-rank ops, computed without the event loop: every rank advanced
+    together one step at a time (see "Lockstep replay" above)."""
     if not program.paired:
         raise ValueError("lockstep replay needs a paired program")
     steps, nprocs = program.steps, program.nprocs
@@ -1011,7 +902,7 @@ def replay_lockstep(machine: MachineModel, program: Lockstep) -> RunResult:
             clock = start + cpu[source]
             comm += clock - start
         else:
-            raise TypeError(f"static replay cannot run {step.kind.__name__}")
+            raise TypeError(f"lockstep replay cannot run {step.kind.__name__}")
     compute_by_rank = tuple(compute.tolist())
     trace = Trace(enabled=False, message_count=len(src),
                   total_bytes=int(nbytes.sum()),

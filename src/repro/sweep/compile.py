@@ -24,9 +24,9 @@ Everything that needs a multipartitioned schedule's behaviour reads the
 compiled program:
 
 * skeleton mode times the lockstep program with
-  :func:`repro.simmpi.engine.replay_static`, or the per-rank ops through
-  the engine when faults, the reliable protocol, observers or a bus
-  network are involved;
+  :func:`repro.simmpi.engine.replay_lockstep`, or the per-rank ops through
+  the engine when faults, the reliable protocol, observers, a bus network
+  or an unpaired program are involved;
 * real-data mode interprets the per-rank ops, running the numpy kernels at
   compute entries and packing payloads at sends;
 * the static verifier lowers them to its IR (:mod:`repro.verify.ir`);

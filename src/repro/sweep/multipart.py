@@ -28,9 +28,9 @@ one of two modes over that same compiled program:
   class-A/B (64^3 / 102^3) problems at p <= 64 simulate in seconds: the
   paper's Table 1 claims are about communication structure and timing,
   none of which needs the payload data.  A fault-free, unobserved run on
-  a non-bus machine times the lockstep program itself with the static
-  replay (:func:`~repro.simmpi.engine.replay_static`), one numpy step per
-  op index for all ranks, and builds no per-rank ops; every other run
+  a non-bus machine times a paired lockstep program itself with
+  :func:`~repro.simmpi.engine.replay_lockstep`, one numpy step per op
+  index for all ranks, and builds no per-rank ops; every other run
   replays the per-rank ops through the engine.
 
 Both modes issue the identical op sequence, so their clocks, makespan,
@@ -50,7 +50,7 @@ from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.protocol import ProtocolConfig, ReliableComm
 from repro.simmpi.comm import Comm
-from repro.simmpi.engine import replay_static, run_programs
+from repro.simmpi.engine import replay_lockstep, run_programs
 from repro.simmpi.machine import MachineModel
 from repro.simmpi.message import RecvOp, SendOp
 from repro.simmpi.trace import RunResult
@@ -242,9 +242,9 @@ class MultipartExecutor:
         and byte count), receives, compute durations and phase marks — are
         timed, so clocks, makespan, message counts, and byte totals match
         real-data mode bit-for-bit; only the array contents are absent.
-        With no faults, protocol or observers on a non-bus machine the
-        lockstep program goes through
-        :func:`~repro.simmpi.engine.replay_static`, which gives the
+        With no faults, protocol or observers on a non-bus machine a
+        paired lockstep program goes through
+        :func:`~repro.simmpi.engine.replay_lockstep`, which gives the
         engine's result without its event loop or per-rank ops."""
         compiled = self.compile(schedule)
         if (
@@ -253,8 +253,9 @@ class MultipartExecutor:
             and not self.record_events
             and not self.sinks
             and self.machine.network is not NetworkScaling.BUS
+            and compiled.lockstep.paired
         ):
-            return replay_static(self.machine, compiled.lockstep)
+            return replay_lockstep(self.machine, compiled.lockstep)
         ops = compiled.ops
         comms = [
             self._make_comm(rank) for rank in range(self.partitioning.nprocs)

@@ -48,8 +48,8 @@ class TestRepeatedRuns:
 
 class TestZeroRateEquivalence:
     """A run with a fault plan attached stays on the engine, while a
-    fault-free skeleton run takes the static replay, so these compare the
-    engine under a zero-rate plan against the static replay."""
+    fault-free skeleton run takes the lockstep replay, so these compare the
+    engine under a zero-rate plan against the lockstep replay."""
 
     def test_zero_plan_reproduces_fault_free_run_exactly(self):
         base = _skeleton(4)

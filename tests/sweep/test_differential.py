@@ -6,8 +6,8 @@ stencil RHS on/off).  For each draw:
 
 * real-data execution and skeleton replay give bit-identical
   :class:`RunSummary` documents (clocks, makespan, counters).  Real-data
-  mode runs on the engine and a plain skeleton run on the static replay
-  (:func:`repro.simmpi.engine.replay_static`), so this compares the two;
+  mode runs on the engine and a plain skeleton run on the lockstep replay
+  (:func:`repro.simmpi.engine.replay_lockstep`), so this compares the two;
 * the skeleton run's message/byte totals equal the verifier IR's
   ``total_sends``/``total_send_bytes`` and the closed-form
   :func:`schedule_comm_totals`;

@@ -1,16 +1,16 @@
-"""The static replays give the engine's result, bit for bit.
+"""The lockstep replay gives the engine's result, bit for bit.
 
-:func:`repro.simmpi.engine.replay_static` times fixed per-rank op lists in
-one longest-path pass, and :func:`repro.simmpi.engine.replay_lockstep`
-times a compiled lockstep program one op index at a time for every rank.
-For compiled multipartitioned schedules both must agree with the
-discrete-event engine on every number a run summary carries, with exact
-``==`` (no tolerance).  ``run_skeleton`` uses them only for fault-free,
-unobserved runs on non-bus machines; everything else stays on the engine.
-Ops the compiler never emits without observers are rejected, never
-approximated.
+:func:`repro.simmpi.engine.replay_lockstep` times a compiled lockstep
+program one op index at a time for every rank.  For compiled
+multipartitioned schedules it must agree with the discrete-event engine on
+every number a run summary carries, with exact ``==`` (no tolerance).
+``run_skeleton`` uses it only for a paired program in a fault-free,
+unobserved run on a non-bus machine; everything else, an unpaired program
+included, stays on the engine.  Programs it cannot time exactly are
+rejected, never approximated.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -25,7 +25,6 @@ from repro.simmpi.engine import (
     SimDeadlockError,
     Step,
     replay_lockstep,
-    replay_static,
     run_programs,
 )
 from repro.simmpi.machine import (
@@ -34,15 +33,7 @@ from repro.simmpi.machine import (
     ethernet_cluster,
     origin2000,
 )
-from repro.simmpi.message import (
-    ANY_SOURCE,
-    ANY_TAG,
-    Bytes,
-    ComputeOp,
-    MarkOp,
-    RecvOp,
-    SendOp,
-)
+from repro.simmpi.message import Bytes, ComputeOp, MarkOp, RecvOp, SendOp
 from repro.simmpi.summary import RunSummary
 from repro.simmpi.topology import topology_for
 from repro.sweep import multipart
@@ -78,15 +69,15 @@ def _engine_replay(machine, ops):
     return run_programs(machine, [(op for op in rank_ops) for rank_ops in ops])
 
 
-def assert_identical(static, engine):
+def assert_identical(lockstep, engine):
     for field in FIELDS:
-        assert getattr(static, field) == getattr(engine, field), field
-    assert static.trace.compute_seconds == engine.trace.compute_seconds
-    assert static.returns == engine.returns
-    assert static.fault_counts is None and engine.fault_counts is None
+        assert getattr(lockstep, field) == getattr(engine, field), field
+    assert lockstep.trace.compute_seconds == engine.trace.compute_seconds
+    assert lockstep.returns == engine.returns
+    assert lockstep.fault_counts is None and engine.fault_counts is None
     # == treats 0.0 and -0.0 alike; the serialized documents do not
-    assert json.dumps(RunSummary.from_result(static).to_dict()) == json.dumps(
-        RunSummary.from_result(engine).to_dict()
+    assert json.dumps(RunSummary.from_result(lockstep).to_dict()) == (
+        json.dumps(RunSummary.from_result(engine).to_dict())
     )
 
 
@@ -102,7 +93,7 @@ def assert_identical(static, engine):
 def test_static_replay_matches_engine(
     app, shape, p, aggregate, machine_name, stencil
 ):
-    """Lockstep, worklist and engine replays of one compiled program."""
+    """Lockstep and engine replays of one compiled program."""
     machine = _machine(machine_name, p)
     try:
         config = plan_app(
@@ -116,12 +107,11 @@ def test_static_replay_matches_engine(
     except ValueError:
         assume(False)
     compiled = executor.compile(config.problem.schedule())
-    ops = compiled.ops
-    engine = _engine_replay(machine, ops)
-    assert_identical(replay_static(machine, ops), _engine_replay(machine, ops))
     assert compiled.lockstep.paired
-    assert_identical(replay_lockstep(machine, compiled.lockstep), engine)
-    assert_identical(replay_static(machine, compiled.lockstep), engine)
+    assert_identical(
+        replay_lockstep(machine, compiled.lockstep),
+        _engine_replay(machine, compiled.ops),
+    )
 
 
 @pytest.mark.parametrize("shape, p, machine_name", [
@@ -131,8 +121,7 @@ def test_static_replay_matches_engine(
     ((160,) * 3, 512, "ethernet"),
 ], ids=["B-uneven-256", "even-256-torus", "C-uneven-512", "even-512"])
 def test_lockstep_at_scale(shape, p, machine_name):
-    """SP at p in {256, 512}: lockstep equals the worklist replay, and the
-    engine too at p=256."""
+    """SP at p in {256, 512}: lockstep equals the engine."""
     machine = _machine(machine_name, p)
     config = plan_app("sp", shape, p, cost_model=machine.to_cost_model())
     even = all(
@@ -145,58 +134,49 @@ def test_lockstep_at_scale(shape, p, machine_name):
         payload="skeleton",
     ).compile(config.problem.schedule())
     assert compiled.lockstep.paired
-    lockstep = replay_lockstep(machine, compiled.lockstep)
-    assert_identical(lockstep, replay_static(machine, compiled.ops))
-    if p == 256:
-        assert_identical(lockstep, _engine_replay(machine, compiled.ops))
+    assert_identical(
+        replay_lockstep(machine, compiled.lockstep),
+        _engine_replay(machine, compiled.ops),
+    )
 
 
 def _ring(n, iters, nbytes=800):
-    return [
-        tuple(
-            op
-            for i in range(iters)
-            for op in (
-                ComputeOp(1e-6 * (rank + 1)),
-                SendOp((rank + 1) % n, Bytes(nbytes), tag=i),
-                RecvOp((rank - 1) % n, tag=i),
-            )
-        )
-        for rank in range(n)
-    ]
-
-
-def _fan_in(n):
-    """Rank 0 receives in the reverse of send order, plus a self-message
-    and zero-byte messages: late and early arrivals both occur."""
-    root = [SendOp(0, Bytes(16), tag=7)]
-    root += [RecvOp(r, tag=r) for r in range(n - 1, 0, -1)]
-    root += [RecvOp(0, tag=7), ComputeOp(3e-6)]
-    leaves = [
-        (ComputeOp(1e-5 * rank), SendOp(0, Bytes(64 * (rank % 2)), tag=rank))
-        for rank in range(1, n)
-    ]
-    return [tuple(root)] + leaves
+    """Each iteration computes, sends to the next rank and receives from
+    the previous one; at n=1 a rank sends to itself."""
+    ranks = np.arange(n)
+    steps: list = []
+    for i in range(iters):
+        tag = np.full(n, i)
+        steps += [
+            Step(ComputeOp, seconds=1e-6 * (ranks + 1), points=np.zeros(n)),
+            Step(SendOp, (ranks + 1) % n, tag, np.full(n, nbytes)),
+            Step(RecvOp, (ranks - 1) % n, tag, match=len(steps) + 1),
+        ]
+    return Lockstep(tuple(steps), n)
 
 
 @pytest.mark.parametrize("machine_factory", [
     MachineModel, origin2000, ethernet_cluster,
 ])
-@pytest.mark.parametrize("ops", [
-    _ring(1, 3), _ring(4, 30), _ring(5, 10, nbytes=12_000), _fan_in(6),
-], ids=["ring1", "ring4", "ring5", "fan_in"])
-def test_hand_built_ops_match_engine(machine_factory, ops):
+@pytest.mark.parametrize("program", [
+    _ring(1, 3), _ring(4, 30), _ring(5, 10, nbytes=12_000),
+], ids=["ring1", "ring4", "ring5"])
+def test_hand_built_ops_match_engine(machine_factory, program):
     machine = machine_factory()
-    assert_identical(replay_static(machine, ops), _engine_replay(machine, ops))
+    assert program.paired
+    assert_identical(
+        replay_lockstep(machine, program),
+        _engine_replay(machine, program.rank_ops()),
+    )
 
 
-def _send(tag=5, nbytes=(8, 16)):
-    return Step(SendOp, np.array([1, 0]), np.array([tag, tag]),
+def _send(tag=5, nbytes=(8, 16), peer=(1, 0)):
+    return Step(SendOp, np.array(peer), np.array([tag, tag]),
                 np.array(nbytes))
 
 
-def _recv(match, tag=5):
-    return Step(RecvOp, np.array([1, 0]), np.array([tag, tag]), match=match)
+def _recv(match, tag=5, peer=(1, 0)):
+    return Step(RecvOp, np.array(peer), np.array([tag, tag]), match=match)
 
 
 def _compute(seconds):
@@ -205,7 +185,7 @@ def _compute(seconds):
 
 class TestLockstepPairing:
     """Only a program whose compile-time pairing is the FIFO matching is
-    replayed in lockstep; any other goes to the worklist."""
+    replayed in lockstep; any other is left to the engine."""
 
     @pytest.mark.parametrize("steps, paired", [
         ([_compute([1e-6, 3e-6]), _send(), _recv(1)], True),
@@ -223,10 +203,8 @@ class TestLockstepPairing:
     def test_pairing_decides_the_replay(self, steps, paired):
         program = Lockstep(tuple(steps), 2)
         assert program.paired is paired
-        ops = program.rank_ops()
         machine = _machine("torus", 2)
-        engine = _engine_replay(machine, ops)
-        assert_identical(replay_static(machine, program), engine)
+        engine = _engine_replay(machine, program.rank_ops())
         if paired:
             assert_identical(replay_lockstep(machine, program), engine)
         else:
@@ -234,70 +212,53 @@ class TestLockstepPairing:
                 replay_lockstep(machine, program)
 
     def test_receive_before_its_send_deadlocks_like_engine(self):
+        """Unpaired, so the lockstep replay refuses it; the engine, which
+        times it, reports the deadlock."""
         program = Lockstep((_recv(1), _send()), 2)
         assert not program.paired
-        with pytest.raises(SimDeadlockError) as static:
-            replay_static(origin2000(), program)
+        with pytest.raises(ValueError, match="paired"):
+            replay_lockstep(origin2000(), program)
         with pytest.raises(SimDeadlockError) as engine:
             _engine_replay(origin2000(), program.rank_ops())
-        assert str(static.value) == str(engine.value)
+        assert str(engine.value) == (
+            "deadlock: 2 rank(s) blocked on unmatched receives: "
+            "rank 0 waiting on recv(source=1, tag=5); "
+            "rank 1 waiting on recv(source=0, tag=5)"
+        )
 
     def test_marks_raise_type_error(self):
         program = Lockstep((Step(MarkOp, mark=MarkOp("x")),), 2)
-        with pytest.raises(TypeError, match="static replay cannot run"):
-            replay_static(origin2000(), program)
+        with pytest.raises(TypeError, match="lockstep replay cannot run"):
+            replay_lockstep(origin2000(), program)
 
 
 class TestRejects:
-    def test_deadlock_message_matches_engine(self):
-        ops = [
-            (SendOp(2, Bytes(8), tag=1), RecvOp(1, tag=5)),
-            (RecvOp(0, tag=7),),
-            (RecvOp(0, tag=1), ComputeOp(1e-6)),
-        ]
-        with pytest.raises(SimDeadlockError) as static:
-            replay_static(origin2000(), ops)
-        with pytest.raises(SimDeadlockError) as engine:
-            _engine_replay(origin2000(), ops)
-        assert str(static.value) == str(engine.value)
-        assert str(static.value) == (
-            "deadlock: 2 rank(s) blocked on unmatched receives: "
-            "rank 0 waiting on recv(source=1, tag=5); "
-            "rank 1 waiting on recv(source=0, tag=7)"
-        )
-
     @pytest.mark.parametrize("op, message", [
         (SendOp(2, Bytes(8)), "rank 0: send to invalid dest 2"),
         (SendOp(-1, Bytes(8)), "rank 0: send to invalid dest -1"),
         (RecvOp(5), "rank 0: recv from invalid source 5"),
     ])
     def test_invalid_peer_raises_like_engine(self, op, message):
-        ops = [(op,), ()]
+        """A peer out of range leaves the program unpaired: the lockstep
+        replay refuses it, and the engine reports the peer."""
+        if op.__class__ is SendOp:
+            steps = (_send(peer=(op.dest, 0)), _recv(0))
+        else:
+            steps = (_send(), _recv(0, peer=(op.source, 0)))
+        program = Lockstep(steps, 2)
+        assert not program.paired
+        with pytest.raises(ValueError, match="paired"):
+            replay_lockstep(origin2000(), program)
         with pytest.raises(ValueError, match=message):
-            replay_static(origin2000(), ops)
-        with pytest.raises(ValueError, match=message):
-            _engine_replay(origin2000(), ops)
-
-    @pytest.mark.parametrize("op", [
-        MarkOp("phase_begin:x"),
-        RecvOp(1, tag=ANY_TAG),
-        RecvOp(ANY_SOURCE, tag=0),
-        RecvOp(1, timeout=1e-3),
-        RecvOp(1, cancellable=True),
-        object(),
-    ], ids=["mark", "any_tag", "any_source", "timed", "cancellable", "other"])
-    def test_ops_outside_the_static_subset_raise_type_error(self, op):
-        ops = [(op,), (SendOp(0, Bytes(8)),)]
-        with pytest.raises(TypeError, match="static replay cannot run"):
-            replay_static(origin2000(), ops)
+            _engine_replay(origin2000(), program.rank_ops())
 
     def test_no_ranks(self):
         with pytest.raises(ValueError, match="nprocs must be >= 1"):
-            replay_static(origin2000(), [])
+            Lockstep((), 0)
 
 
 class TestDispatch:
-    """``run_skeleton`` takes the static replay only when it is exact."""
+    """``run_skeleton`` takes the lockstep replay only when it is exact."""
 
     SHAPE = (8, 8, 8)
 
@@ -305,11 +266,11 @@ class TestDispatch:
     def calls(self, monkeypatch):
         seen = []
 
-        def spy(machine, ops):
-            seen.append(len(ops))
-            return replay_static(machine, ops)
+        def spy(machine, program):
+            seen.append(program.nprocs)
+            return replay_lockstep(machine, program)
 
-        monkeypatch.setattr(multipart, "replay_static", spy)
+        monkeypatch.setattr(multipart, "replay_lockstep", spy)
         return seen
 
     def _run(self, machine=None, **kw):
@@ -335,6 +296,21 @@ class TestDispatch:
     def test_other_runs_stay_on_engine(self, calls, kw):
         self._run(**kw)
         assert calls == []
+
+    def test_unpaired_program_is_timed_by_engine(self, calls, monkeypatch):
+        paired = RunSummary.from_result(self._run())
+        compile_ = MultipartExecutor.compile
+
+        def compile_unpaired(executor, schedule):
+            compiled = compile_(executor, schedule)
+            lockstep = Lockstep(compiled.lockstep.steps, compiled.nprocs)
+            object.__setattr__(lockstep, "paired", False)
+            return dataclasses.replace(compiled, lockstep=lockstep)
+
+        monkeypatch.setattr(MultipartExecutor, "compile", compile_unpaired)
+        unpaired = RunSummary.from_result(self._run())
+        assert calls == [4]
+        assert json.dumps(paired.to_dict()) == json.dumps(unpaired.to_dict())
 
     def test_zero_rate_plan_summary_equals_fault_free(self, calls):
         clean = RunSummary.from_result(self._run())
