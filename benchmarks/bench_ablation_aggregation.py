@@ -14,16 +14,21 @@ from repro.apps.sp import sp_class
 from repro.apps.workloads import random_field
 from repro.core.api import plan_multipartitioning
 from repro.simmpi.machine import ethernet_cluster, origin2000
-from repro.sweep.modeled import multipart_time
 from repro.sweep.multipart import MultipartExecutor
 from repro.sweep.ops import SweepOp
 
 
-def test_aggregation_modeled(benchmark, report):
+def skeleton_makespan(shape, partitioning, machine, sched, aggregate):
+    return MultipartExecutor(
+        partitioning, shape, machine, aggregate=aggregate, payload="skeleton"
+    ).run_skeleton(sched).makespan
+
+
+def test_aggregation_skeleton(benchmark, report):
     prob = sp_class("B", steps=1)
     sched = prob.schedule()
     benchmark.pedantic(
-        lambda: multipart_time(
+        lambda: skeleton_makespan(
             prob.shape,
             plan_multipartitioning(
                 prob.shape, 50, origin2000().to_cost_model()
@@ -41,17 +46,17 @@ def test_aggregation_modeled(benchmark, report):
             plan = plan_multipartitioning(
                 prob.shape, p, machine.to_cost_model()
             )
-            t_on = multipart_time(
+            t_on = skeleton_makespan(
                 prob.shape, plan.partitioning, machine, sched, aggregate=True
             )
-            t_off = multipart_time(
+            t_off = skeleton_makespan(
                 prob.shape, plan.partitioning, machine, sched, aggregate=False
             )
             rows.append(
                 [machine.name, p, plan.gammas, t_on, t_off, t_off / t_on]
             )
     report(
-        "Ablation: communication aggregation on/off (SP class B, modeled)",
+        "Ablation: communication aggregation on/off (SP class B, skeleton)",
         format_table(
             ["machine", "p", "gammas", "agg on (s)", "agg off (s)", "ratio"],
             rows,

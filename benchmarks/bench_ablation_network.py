@@ -12,7 +12,7 @@ from repro.core.api import plan_multipartitioning
 from repro.core.cost import Objective
 from repro.core.optimizer import optimal_partitioning
 from repro.simmpi.machine import bus, origin2000
-from repro.sweep.modeled import multipart_time
+from repro.sweep.multipart import MultipartExecutor
 from repro.sweep.sequential import sequential_time
 
 
@@ -31,12 +31,14 @@ def test_bus_vs_scalable(benchmark, report):
             plan = plan_multipartitioning(
                 prob.shape, p, machine.to_cost_model()
             )
-            t = multipart_time(prob.shape, plan.partitioning, machine, sched)
+            t = MultipartExecutor(
+                plan.partitioning, prob.shape, machine, payload="skeleton"
+            ).run_skeleton(sched).makespan
             t1 = sequential_time(prob.shape, sched, machine)
             row.append(t1 / t)
         rows.append(row)
     report(
-        "Ablation: scalable vs bus network (SP class B speedups, modeled)",
+        "Ablation: scalable vs bus network (SP class B speedups, skeleton)",
         format_table(["p", "scalable speedup", "bus speedup"], rows),
     )
     # the bus saturates: its speedup trails the scalable network, and the

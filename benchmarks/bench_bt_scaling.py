@@ -17,12 +17,17 @@ from repro.apps.sp import sp_class
 from repro.apps.workloads import random_field
 from repro.core.api import plan_multipartitioning
 from repro.simmpi.machine import origin2000
-from repro.sweep.modeled import multipart_time
 from repro.sweep.multipart import MultipartExecutor
 from repro.sweep.sequential import sequential_time
 
 
-def test_bt_vs_sp_scaling_modeled(benchmark, report):
+def skeleton_makespan(shape, partitioning, machine, sched) -> float:
+    return MultipartExecutor(
+        partitioning, shape, machine, payload="skeleton"
+    ).run_skeleton(sched).makespan
+
+
+def test_bt_vs_sp_scaling_skeleton(benchmark, report):
     machine = origin2000()
     bt = bt_class("B", steps=1)
     sp = sp_class("B", steps=1)
@@ -32,7 +37,7 @@ def test_bt_vs_sp_scaling_modeled(benchmark, report):
     t1_sp = sequential_time(sp.shape, sp_sched, machine)
 
     benchmark.pedantic(
-        lambda: multipart_time(
+        lambda: skeleton_makespan(
             bt.field_shape,
             bt_plan(bt.shape, 16, machine.to_cost_model()).partitioning,
             machine,
@@ -45,15 +50,16 @@ def test_bt_vs_sp_scaling_modeled(benchmark, report):
     rows = []
     for p in (1, 4, 9, 16, 25, 36, 49, 50, 64, 81):
         plan_b = bt_plan(bt.shape, p, machine.to_cost_model())
-        tb = multipart_time(bt.field_shape, plan_b.partitioning, machine,
-                            bt_sched)
+        tb = skeleton_makespan(bt.field_shape, plan_b.partitioning, machine,
+                               bt_sched)
         plan_s = plan_multipartitioning(sp.shape, p, machine.to_cost_model())
-        ts = multipart_time(sp.shape, plan_s.partitioning, machine, sp_sched)
+        ts = skeleton_makespan(sp.shape, plan_s.partitioning, machine,
+                               sp_sched)
         rows.append(
             [p, plan_b.gammas[:3], t1_bt / tb, t1_sp / ts]
         )
     report(
-        "NAS BT vs SP scaling (class B, modeled, generalized "
+        "NAS BT vs SP scaling (class B, skeleton, generalized "
         "multipartitioning)",
         format_table(
             ["p", "tiling", "BT speedup", "SP speedup"], rows

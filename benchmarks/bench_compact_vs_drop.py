@@ -3,14 +3,15 @@
 "for the 102^3 problem size, a 5x10x10 decomposition on 50 processors is
 slower than a 7x7x7 decomposition on 49 processors"; the paper proposes
 searching p' <= p for the fastest configuration.  Regenerates that finding
-and the drop-search results for every non-square count in Table 1.
+and the drop-search results for every non-square count in Table 1, each
+time the makespan of the compiled skeleton program.
 """
 
 from repro.analysis.report import format_table
 from repro.apps.sp import sp_class
 from repro.core.api import plan_multipartitioning
 from repro.simmpi.machine import origin2000
-from repro.sweep.modeled import best_processor_count_modeled, multipart_time
+from repro.sweep.multipart import MultipartExecutor, best_processor_count
 
 
 def test_conclusion_49_vs_50(benchmark, report):
@@ -23,7 +24,9 @@ def test_conclusion_49_vs_50(benchmark, report):
             plan = plan_multipartitioning(
                 prob.shape, p, machine.to_cost_model()
             )
-            t = multipart_time(prob.shape, plan.partitioning, machine, sched)
+            t = MultipartExecutor(
+                plan.partitioning, prob.shape, machine, payload="skeleton"
+            ).run_skeleton(sched).makespan
             rows.append(
                 [p, plan.gammas, plan.partitioning.tiles_per_rank, t]
             )
@@ -32,7 +35,7 @@ def test_conclusion_49_vs_50(benchmark, report):
     rows = benchmark.pedantic(regen, rounds=1, iterations=1)
     report(
         "Conclusions: 7x7x7 on 49 CPUs vs 5x10x10 on 50 CPUs (SP class B)",
-        format_table(["p", "gammas", "tiles/rank", "modeled time (s)"], rows),
+        format_table(["p", "gammas", "tiles/rank", "makespan (s)"], rows),
     )
     assert rows[0][3] < rows[1][3]  # 49 beats 50
 
@@ -44,7 +47,7 @@ def test_drop_search_all_nonsquares(benchmark, report):
     def regen():
         rows = []
         for p in (45, 50, 72):
-            p_used, t = best_processor_count_modeled(
+            p_used, t = best_processor_count(
                 prob.shape, p, machine, sched
             )
             rows.append([p, p_used, t])
@@ -53,7 +56,7 @@ def test_drop_search_all_nonsquares(benchmark, report):
     rows = benchmark.pedantic(regen, rounds=1, iterations=1)
     report(
         "Processor-dropping search (Conclusions): best p' <= p",
-        format_table(["p requested", "p used", "modeled time (s)"], rows),
+        format_table(["p requested", "p used", "makespan (s)"], rows),
     )
     by_req = {r[0]: r[1] for r in rows}
     assert by_req[50] == 49  # the paper's example
@@ -67,7 +70,7 @@ def test_drop_search_speed(benchmark):
     sched = prob.schedule()
 
     def search():
-        return best_processor_count_modeled(prob.shape, 50, machine, sched)
+        return best_processor_count(prob.shape, 50, machine, sched)
 
     p_used, _ = benchmark(search)
     assert p_used == 49

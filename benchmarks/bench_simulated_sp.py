@@ -1,11 +1,11 @@
 """End-to-end simulated SP runs (real data) at class-S/W scale.
 
-Table 1 at class B uses modeled times; this bench runs the *actual
-distributed computation* through the simulator on grids small enough to
-execute, verifying numerics against the sequential solver while measuring
-virtual makespans, message counts, and parallel efficiency.  The class-S
-scaling sweep goes through the :mod:`repro.runner` batch machinery — the
-same path as ``repro sweep --mode simulated``.
+Table 1 at class B times payload-free skeletons; this bench runs the
+*actual distributed computation* through the simulator on grids small
+enough to execute, verifying numerics against the sequential solver while
+measuring virtual makespans, message counts, and parallel efficiency.  The
+class-S scaling sweep goes through the :mod:`repro.runner` batch machinery
+— the same path as ``repro sweep --mode simulated``.
 """
 
 import numpy as np

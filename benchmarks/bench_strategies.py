@@ -3,9 +3,10 @@
 
 The paper motivates multipartitioning with van der Wijngaart's finding that
 3-D multipartitionings beat both block strategies for ADI.  Regenerates the
-three-way comparison in modeled mode at class-B scale, and in *real-data
-simulated* mode on a small grid (where all three executors produce
-bit-identical numerics).
+three-way comparison at class-B scale (multipartitioning timed by its
+compiled skeleton, the two block strategies by their closed-form
+approximations), and in *real-data simulated* mode on a small grid (where
+all three executors produce bit-identical numerics).
 """
 
 import numpy as np
@@ -17,23 +18,25 @@ from repro.apps.sp import sp_class
 from repro.apps.workloads import random_field
 from repro.core.api import plan_multipartitioning
 from repro.simmpi.machine import origin2000
-from repro.sweep.modeled import (
-    best_wavefront_chunks,
-    multipart_time,
-    transpose_time,
-)
+from repro.sweep.modeled import best_wavefront_chunks, transpose_time
 from repro.sweep.multipart import MultipartExecutor
 from repro.sweep.sequential import run_sequential
 from repro.sweep.transpose import TransposeExecutor
 from repro.sweep.wavefront import WavefrontExecutor
 
 
-def test_three_strategies_modeled(benchmark, report):
+def skeleton_makespan(shape, partitioning, machine, sched) -> float:
+    return MultipartExecutor(
+        partitioning, shape, machine, payload="skeleton"
+    ).run_skeleton(sched).makespan
+
+
+def test_three_strategies_class_b(benchmark, report):
     machine = origin2000()
     prob = sp_class("B", steps=1)
     sched = prob.schedule()
     benchmark.pedantic(
-        lambda: multipart_time(
+        lambda: skeleton_makespan(
             prob.shape,
             plan_multipartitioning(
                 prob.shape, 16, machine.to_cost_model()
@@ -48,15 +51,16 @@ def test_three_strategies_modeled(benchmark, report):
     winners = []
     for p in (4, 9, 16, 25, 36, 64, 100):
         plan = plan_multipartitioning(prob.shape, p, machine.to_cost_model())
-        tm = multipart_time(prob.shape, plan.partitioning, machine, sched)
+        tm = skeleton_makespan(prob.shape, plan.partitioning, machine, sched)
         _, tw = best_wavefront_chunks(prob.shape, p, machine, sched)
         tt = transpose_time(prob.shape, p, machine, sched)
         best = min((tm, "multipartition"), (tw, "wavefront"), (tt, "transpose"))
         winners.append(best[1])
         rows.append([p, tm, tw, tt, best[1]])
     report(
-        "Strategy comparison (SP class B, modeled): multipartition vs "
-        "wavefront vs transpose",
+        "Strategy comparison (SP class B; multipartition skeleton, "
+        "wavefront/transpose closed-form): multipartition vs wavefront vs "
+        "transpose",
         format_table(
             ["p", "multipart (s)", "wavefront (s)", "transpose (s)", "winner"],
             rows,

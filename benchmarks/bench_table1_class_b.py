@@ -1,24 +1,25 @@
-"""Table 1 at paper scale: NAS SP class B (102^3), p <= 64, via skeleton
-simulation.
+"""Table 1 — NAS SP class B (102^3) speedups: hand-coded (diagonal) vs
+dHPF (generalized multipartitioning) on the Origin-2000 machine model, via
+skeleton simulation.
 
-The paper's headline table measures SP class B on up to 64+ processors —
-previously out of reach for our simulated pipeline (real-data runs top out
-around class S).  Skeleton mode replays the exact communication and timing
-structure payload-free (equivalence pinned by ``tests/sweep/
-test_skeleton.py``), so the whole processor grid simulates in seconds.
+Regenerates every row of the paper's Table 1 (shapes, not absolute
+seconds).  Real-data runs top out around class S; skeleton mode replays
+the exact communication and timing structure payload-free (equivalence
+pinned by ``tests/sweep/test_skeleton.py``), so the whole processor grid
+simulates in about a second.
 
-Writes ``BENCH_table1.json`` at the repo root: the repo's first paper-scale
-artifact — one row per processor count with tiling, makespan, speedup, and
-message/byte totals, plus the published Table-1 numbers for shape
-comparison.
+Writes ``BENCH_table1.json`` at the repo root: one row per processor count
+with tiling, makespan, speedup, and message/byte totals, plus the published
+Table-1 numbers for shape comparison.
 """
 
 import json
 import pathlib
 import time
 
-from repro.analysis.report import format_table
+from repro.analysis.report import format_table1
 from repro.analysis.speedup import (
+    PAPER_CPU_COUNTS,
     PAPER_TABLE1_DHPF,
     PAPER_TABLE1_HAND,
     sp_speedup_table,
@@ -31,18 +32,14 @@ from repro.sweep.multipart import MultipartExecutor
 
 _TABLE1_JSON = pathlib.Path(__file__).parent.parent / "BENCH_table1.json"
 
-#: Table-1 processor counts reachable in a bounded bench run (p <= 64 keeps
-#: the optimizer's candidate enumeration and the event count in check)
-CPU_COUNTS = (1, 2, 4, 6, 8, 9, 12, 16, 18, 20, 24, 25, 32, 36, 45, 49, 50, 64)
+CPU_COUNTS = PAPER_CPU_COUNTS
 
 
 def test_table1_class_b_skeleton(benchmark, report):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     prob = sp_class("B", steps=1)
     t0 = time.perf_counter()
-    rows = sp_speedup_table(
-        prob.shape, steps=1, cpu_counts=CPU_COUNTS, mode="skeleton"
-    )
+    rows = sp_speedup_table(prob.shape, steps=1, cpu_counts=CPU_COUNTS)
     wall = time.perf_counter() - t0
 
     # message/byte totals per count, from the same specs the table ran
@@ -76,19 +73,17 @@ def test_table1_class_b_skeleton(benchmark, report):
         fh.write("\n")
 
     report(
-        "Table 1 at paper scale (SP class B, 102^3, skeleton simulation)",
-        format_table(
-            ["p", "tiling", "speedup", "paper dHPF", "messages"],
-            [
-                [r["p"], "x".join(map(str, r["gammas"])),
-                 f"{r['speedup']:.2f}",
-                 r["paper_dhpf"] if r["paper_dhpf"] is not None else "-",
-                 r["messages"]]
-                for r in doc_rows
-            ],
-        ),
+        "Table 1: NAS SP class B speedups (102^3, skeleton simulation)",
+        format_table1(rows),
         data=doc,
     )
+
+    # paper shape claims
+    by_row = {r.p: r for r in rows}
+    assert [r.p for r in rows] == list(PAPER_CPU_COUNTS)
+    assert by_row[50].dhpf_speedup < by_row[49].dhpf_speedup
+    assert all(r.efficiency > 0.7 for r in rows)
+    assert tuple(sorted(by_row[50].gammas)) == (5, 10, 10)
 
     by_p = {r["p"]: r["speedup"] for r in doc_rows}
     # monotone trend along the compact (perfect-cube-friendly) counts — the
@@ -101,6 +96,24 @@ def test_table1_class_b_skeleton(benchmark, report):
     # p=1 baseline normalization: exactly the sequential schedule, modulo
     # the dHPF compute-overhead factor applied to the compiled column
     assert abs(by_p[1] * 1.03 - 1.0) < 1e-9
+
+
+def test_table1_single_point_p50(benchmark):
+    """Micro-bench: one full plan + skeleton run at the interesting p=50."""
+    machine = origin2000()
+    prob = sp_class("B", steps=1)
+    schedule = prob.schedule()
+
+    def run():
+        plan = plan_multipartitioning(
+            prob.shape, 50, machine.to_cost_model()
+        )
+        return MultipartExecutor(
+            plan.partitioning, prob.shape, machine, payload="skeleton"
+        ).run_skeleton(schedule).makespan
+
+    t = benchmark(run)
+    assert t > 0
 
 
 def test_class_a_p16_wall_clock(benchmark):

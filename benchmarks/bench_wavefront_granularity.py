@@ -5,7 +5,7 @@ minimizing the length of pipeline fill and drain phases, and using larger
 messages to minimize communication overhead in the steady state."
 
 Sweeps the chunk count of the static-block wavefront baseline and shows the
-interior optimum, in both modeled and simulated modes.
+interior optimum, both in its closed-form approximation and simulated.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from repro.sweep.sequential import run_sequential
 from repro.sweep.wavefront import WavefrontExecutor
 
 
-def test_granularity_sweep_modeled(benchmark, report):
+def test_granularity_sweep_closed_form(benchmark, report):
     machine = ethernet_cluster()
     benchmark.pedantic(
         lambda: wavefront_time(
@@ -39,8 +39,8 @@ def test_granularity_sweep_modeled(benchmark, report):
         rows.append([chunks, t])
     report(
         "Wavefront pipeline granularity (class-B plane sweep, p=16, "
-        "modeled, ethernet machine)",
-        format_table(["chunks", "modeled time (s)"], rows),
+        "closed form, ethernet machine)",
+        format_table(["chunks", "approx. time (s)"], rows),
     )
     best = min(times, key=times.get)
     assert 1 < best < 102  # interior optimum: the paper's tension is real

@@ -13,7 +13,8 @@ simmpi
     substrate replacing the paper's SGI Origin 2000 + MPI).
 sweep
     Line-sweep execution engines: multipartitioned, wavefront (static block)
-    and transpose (dynamic block) strategies, in real-data and modeled modes.
+    and transpose (dynamic block) strategies; multipartitioned runs are
+    timed from the compiled program, with or without payload data.
 hpf
     dHPF-lite: templates, distribution directives, shadow regions and the
     communication vectorization/aggregation planner (Section 5).

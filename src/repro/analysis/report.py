@@ -56,7 +56,7 @@ def render_figure1(partitioning: Multipartitioning, axis: int = 2) -> str:
 def format_table1(
     rows: list[SpeedupRow],
     include_paper: bool = True,
-    mode: str = "modeled",
+    mode: str = "skeleton",
 ) -> str:
     """Render Table 1, optionally alongside the published numbers."""
     headers = ["# CPUs", "tiling", "hand-coded", "dHPF", "% diff."]

@@ -3,14 +3,13 @@
 ``sp_speedup_table`` regenerates the paper's Table 1: NAS SP (class B)
 speedups for the hand-coded MPI version (3-D *diagonal* multipartitioning,
 perfect-square processor counts only) versus dHPF-generated code
-(*generalized* multipartitioning, any processor count).  Times come from the
-modeled executors over the Origin-2000 machine preset — or, with
-``mode="skeleton"``, from payload-free discrete-event simulation at full
-class-B scale; speedups are relative to the sequential schedule time, as in
-the paper (footnote 2).
+(*generalized* multipartitioning, any processor count).  Times are the
+makespans of the compiled programs on the Origin-2000 machine preset,
+simulated payload-free at full class-B scale; speedups are relative to the
+sequential schedule time, as in the paper (footnote 2).
 
-The table is produced by fanning modeled :class:`ExperimentSpec` configs
-through the :mod:`repro.runner` batch machinery — pass ``runner=`` a
+The table is produced by fanning :class:`ExperimentSpec` configs through
+the :mod:`repro.runner` batch machinery — pass ``runner=`` a
 :class:`BatchRunner` with a cache to make repeated regenerations (CLI,
 benches, notebooks) replay from disk.
 
@@ -58,7 +57,7 @@ PAPER_TABLE1_DHPF = {
 
 @dataclasses.dataclass(frozen=True)
 class SpeedupRow:
-    """One Table-1 row: modeled speedups at one processor count."""
+    """One Table-1 row: simulated speedups at one processor count."""
 
     p: int
     gammas: tuple[int, ...]
@@ -80,20 +79,20 @@ def sp_speedup_table(
     machine: MachineModel | None = None,
     dhpf_compute_overhead: float = 1.03,
     runner: BatchRunner | None = None,
-    mode: str = "modeled",
+    mode: str = "skeleton",
 ) -> list[SpeedupRow]:
-    """Table 1, modeled or simulated.
+    """Table 1 from simulated makespans.
 
     ``dhpf_compute_overhead`` inflates compiler-generated compute slightly
     (generated loop nests vs hand-tuned Fortran); the hand-coded column uses
     the raw model.  The hand-coded version exists only on perfect squares
     (it is restricted to diagonal multipartitionings).  All configurations
     run through ``runner`` (a fresh cacheless :class:`BatchRunner` by
-    default) as SP experiment specs in the given ``mode``: ``"modeled"``
-    (closed form, the historical default) or ``"skeleton"`` (payload-free
-    discrete-event simulation — tractable even at class B for p <= 64).
+    default) as SP experiment specs in the given ``mode``: ``"skeleton"``
+    (payload-free, tractable at class B) or ``"simulated"`` (real data,
+    small shapes only).
     """
-    if mode not in ("modeled", "simulated", "skeleton"):
+    if mode not in ("simulated", "skeleton"):
         raise ValueError(f"unsupported table mode {mode!r}")
     machine = machine or origin2000()
     machine_name, machine_params = machine_spec_fields(machine)
@@ -111,11 +110,6 @@ def sp_speedup_table(
             steps=steps,
         )
 
-    def par_time(res: dict) -> float:
-        if mode == "modeled":
-            return res["modeled_time"]
-        return res["summary"]["makespan"]
-
     diag_counts = [p for p in cpu_counts if diagonal_applicable(p, 3)]
     specs = [spec(p, "optimal") for p in cpu_counts] + [
         spec(p, "diagonal") for p in diag_counts
@@ -131,10 +125,10 @@ def sp_speedup_table(
     for p in cpu_counts:
         res = dhpf[p]
         t_seq = res["sequential_time"]
-        t_dhpf = par_time(res) * dhpf_compute_overhead
+        t_dhpf = res["summary"]["makespan"] * dhpf_compute_overhead
         hand_time = hand_speedup = pct = None
         if p in hand:
-            hand_time = par_time(hand[p])
+            hand_time = hand[p]["summary"]["makespan"]
             hand_speedup = t_seq / hand_time
             pct = (hand_speedup - t_seq / t_dhpf) / hand_speedup * 100.0
         rows.append(

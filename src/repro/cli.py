@@ -60,13 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     t1.add_argument("--class", dest="cls", default="B",
                     choices=["S", "W", "A", "B", "C"])
     t1.add_argument(
-        "--mode", default="modeled", choices=["modeled", "skeleton"],
-        help="modeled: closed-form times (default); skeleton: payload-free "
-        "discrete-event simulation at full scale",
-    )
-    t1.add_argument(
         "--max-p", type=int, default=None,
-        help="cap the processor counts (e.g. 64 keeps skeleton runs quick)",
+        help="cap the processor counts",
     )
 
     sub.add_parser("figure1", help="regenerate the paper's Figure 1")
@@ -193,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help='comma list of apps (sp, bt, adi)')
     sweep.add_argument("--machines", type=str, default="origin2000",
                        help="comma list of machine presets")
-    sweep.add_argument("--mode", default="modeled",
-                       choices=["plan", "modeled", "simulated", "skeleton"])
+    sweep.add_argument("--mode", default="skeleton",
+                       choices=["plan", "simulated", "skeleton"])
     sweep.add_argument("--objective", default="full",
                        choices=["full", "phases", "volume"])
     sweep.add_argument("--steps", type=int, default=1)
@@ -349,8 +344,6 @@ def _run_sweep(args, out) -> int:
         gammas = "x".join(map(str, result["gammas"]))
         if spec.mode == "plan":
             t = result["cost"]
-        elif spec.mode == "modeled":
-            t = result["modeled_time"]
         else:
             t = result["summary"]["makespan"]
         speedup = result.get("speedup")
@@ -360,17 +353,14 @@ def _run_sweep(args, out) -> int:
             f"{speedup:.2f}" if speedup is not None else "-",
             source,
         ])
-    time_label = {
-        "plan": "cost", "modeled": "time(s)", "simulated": "makespan(s)",
-        "skeleton": "makespan(s)",
-    }[doc.get("mode", "modeled")]
+    mode = doc.get("mode", "skeleton")
+    time_label = "cost" if mode == "plan" else "makespan(s)"
     print(
         format_table(
             ["app", "shape", "p", "machine", "tiling", time_label,
              "speedup", "cache"],
             rows,
-            title=f"sweep: {stats.total} configs, mode "
-            f"{doc.get('mode', 'modeled')}",
+            title=f"sweep: {stats.total} configs, mode {mode}",
         ),
         file=out,
     )
@@ -437,10 +427,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         counts = PAPER_CPU_COUNTS
         if args.max_p is not None:
             counts = tuple(p for p in counts if p <= args.max_p)
-        rows = sp_speedup_table(
-            prob.shape, steps=1, cpu_counts=counts, mode=args.mode
-        )
-        print(format_table1(rows, mode=args.mode), file=out)
+        rows = sp_speedup_table(prob.shape, steps=1, cpu_counts=counts)
+        print(format_table1(rows), file=out)
         return 0
 
     if args.command == "figure1":
@@ -457,15 +445,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "drop":
         from repro.apps.sp import SPProblem
         from repro.simmpi.machine import origin2000
-        from repro.sweep.modeled import best_processor_count_modeled
+        from repro.sweep.multipart import best_processor_count
 
         prob = SPProblem(shape=args.shape, steps=1)
-        p_used, t = best_processor_count_modeled(
-            args.shape, args.nprocs, origin2000(), prob.schedule()
-        )
+        try:
+            p_used, t = best_processor_count(
+                args.shape, args.nprocs, origin2000(), prob.schedule()
+            )
+        except ValueError as exc:
+            print(f"drop: {exc}", file=sys.stderr)
+            return 2
         print(
             f"requested p={args.nprocs}: fastest configuration uses "
-            f"p'={p_used} (modeled step time {t:.4g} s)",
+            f"p'={p_used} (simulated step time {t:.4g} s)",
             file=out,
         )
         return 0
@@ -491,7 +483,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.analysis.report import format_table
         from repro.apps import bt_class, plan_app
         from repro.simmpi.machine import origin2000
-        from repro.sweep.modeled import multipart_time
+        from repro.sweep.multipart import MultipartExecutor
         from repro.sweep.sequential import sequential_time
 
         machine = origin2000()
@@ -503,12 +495,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             partitioning = plan_app(
                 "bt", prob.shape, p, cost_model=machine.to_cost_model()
             ).partitioning
-            t = multipart_time(prob.field_shape, partitioning, machine, sched)
+            t = MultipartExecutor(
+                partitioning, prob.field_shape, machine, payload="skeleton"
+            ).run_skeleton(sched).makespan
             rows.append([p, partitioning.gammas[:3], t1 / t])
         print(
             format_table(
                 ["p", "tiling", "speedup"], rows,
-                title=f"BT proxy class {args.cls} (modeled)",
+                title=f"BT proxy class {args.cls} (skeleton)",
             ),
             file=out,
         )

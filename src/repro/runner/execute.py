@@ -158,14 +158,6 @@ def run_spec(spec: ExperimentSpec, verify: bool = False) -> dict:
     t_seq = sequential_time(field_shape, schedule, machine)
     result["sequential_time"] = float(t_seq)
 
-    if spec.mode == "modeled":
-        from repro.sweep.modeled import multipart_time
-
-        t_par = multipart_time(field_shape, partitioning, machine, schedule)
-        result["modeled_time"] = float(t_par)
-        result["speedup"] = float(t_seq / t_par) if t_par > 0 else None
-        return result
-
     from repro.faults.protocol import ProtocolExhaustedError
     from repro.simmpi.summary import RunSummary
     from repro.sweep.multipart import MultipartExecutor

@@ -38,7 +38,7 @@ _LIST_KEYS = {
     # repro.runner.spec.FAULT_FIELDS for the accepted keys
     "faults": None,
 }
-_SCALAR_KEYS = {"mode": "modeled", "steps": 1, "seed": 2002}
+_SCALAR_KEYS = {"mode": "skeleton", "steps": 1, "seed": 2002}
 
 
 def _fault_axis(doc: dict) -> list:

@@ -12,13 +12,11 @@ the same key, and bumping the schema tag cleanly orphans every stale entry.
 Evaluation modes:
 
 * ``plan``      — run only the Section-3 optimizer (gammas, cost);
-* ``modeled``   — closed-form execution time of the app's schedule
-  (:mod:`repro.sweep.modeled`), plus sequential baseline and speedup;
 * ``simulated`` — real-data run through :class:`MultipartExecutor` on the
   discrete-event simulator, verified against the sequential solver;
-* ``skeleton``  — the same simulated run payload-free: identical message
-  counts, bytes, and makespan (pinned by equivalence tests) but no array
-  data, unlocking class A/B shapes at p <= 64.
+* ``skeleton``  — the same simulated run payload-free (the default):
+  identical message counts, bytes, and makespan (pinned by equivalence
+  tests) but no array data, so class B and C run at full scale.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ __all__ = [
 #: optional protocol counters, fault plan echoed in the result)
 SCHEMA_TAG = "repro.sweep-result.v3"
 
-MODES = ("plan", "modeled", "simulated", "skeleton")
+MODES = ("plan", "simulated", "skeleton")
 APPS = ("sp", "bt", "adi")
 #: machine names: the presets of repro.simmpi.machine.PRESETS, "generic"
 #: (MachineModel defaults) and "default", which means the plain analytic
@@ -119,7 +117,7 @@ class ExperimentSpec:
 
     shape: tuple[int, ...]
     p: int
-    mode: str = "modeled"
+    mode: str = "skeleton"
     app: str = "sp"
     machine: str = "origin2000"
     partitioner: str = "optimal"

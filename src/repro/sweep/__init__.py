@@ -8,18 +8,15 @@ schedules, so results are directly comparable):
 * :class:`TransposeExecutor` — dynamic block (transpose) baseline;
 * :func:`run_sequential` — single-processor ground truth.
 
-Modeled mode (:mod:`repro.sweep.modeled`) provides closed-form times for
-large problem instances.
+Every multipartitioned time is the makespan of the compiled program
+(:meth:`MultipartExecutor.run_skeleton` times class-B/C shapes
+payload-free); :func:`best_processor_count` searches processor counts with
+it.  :mod:`repro.sweep.modeled` keeps closed-form approximations for the
+wavefront and transpose baselines only.
 """
 
-from .modeled import (
-    best_processor_count_modeled,
-    best_wavefront_chunks,
-    multipart_time,
-    transpose_time,
-    wavefront_time,
-)
-from .multipart import MultipartExecutor
+from .modeled import best_wavefront_chunks, transpose_time, wavefront_time
+from .multipart import MultipartExecutor, best_processor_count
 from .blockgrid import BlockGridExecutor, blockgrid_time
 from .halo import slab_stencil
 from .ops import (
@@ -43,6 +40,7 @@ from .wavefront import WavefrontExecutor
 
 __all__ = [
     "MultipartExecutor",
+    "best_processor_count",
     "WavefrontExecutor",
     "TransposeExecutor",
     "BlockGridExecutor",
@@ -66,9 +64,7 @@ __all__ = [
     "thomas_solve",
     "TileGrid",
     "axis_extents",
-    "multipart_time",
     "wavefront_time",
     "transpose_time",
     "best_wavefront_chunks",
-    "best_processor_count_modeled",
 ]

@@ -1,13 +1,15 @@
-"""Closed-form modeled execution times for the three strategies.
+"""Closed-form approximate times for the two block-partitioned baselines.
 
-Used for problem sizes too large to push through the real-data simulator
-(e.g. the class-B 102**3 runs of Table 1).  The formulas are the same
-latency/bandwidth/compute accounting the simulator performs, collapsed
-analytically; tests cross-check them against simulated runs on small
-problems.
+The wavefront (static block, pipelined) and transpose (dynamic block)
+strategies have no compiled skeleton program, so their class-B times come
+from these formulas: the simulator's latency/bandwidth/compute accounting
+collapsed analytically, ignoring pipeline-overlap and uneven-block effects.
+They are approximations; tests cross-check them against simulated runs on
+small problems.  Multipartitioned times never come from here: they are the
+makespan of the compiled program (:meth:`MultipartExecutor.run_skeleton`).
 
-All functions return the modeled time of executing a *schedule* (list of
-:class:`SweepOp` / :class:`PointwiseOp`).
+All functions return the approximate time of executing a *schedule* (list
+of :class:`SweepOp` / :class:`PointwiseOp`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cost import NetworkScaling
-from repro.core.mapping import Multipartitioning
 from repro.simmpi.machine import MachineModel
 
 from .ops import PointwiseOp, StencilOp
@@ -26,40 +27,26 @@ def _stencil_halo_time(
     shape: tuple[int, ...],
     op: StencilOp,
     p: int,
-    gammas: tuple[int, ...] | None = None,
-    part_axis: int | None = None,
+    part_axis: int,
 ) -> float:
-    """Halo-exchange cost of one StencilOp.
-
-    Multipartitioned (``gammas``): one aggregated message per rank per
-    (axis, side) whose axis is cut, carrying that rank's share of the face.
-    Slab-partitioned (``part_axis``): two slab-face messages per rank.
-    """
-    eta = float(np.prod(shape))
-    total = 0.0
-    axes = (
-        [ax for ax in range(len(shape)) if gammas[ax] > 1]
-        if gammas is not None
-        else ([part_axis] if p > 1 else [])
+    """Halo-exchange cost of one StencilOp under slab partitioning along
+    ``part_axis``: two slab-face messages per rank."""
+    if p == 1:
+        return 0.0
+    lo, hi = op.reach[part_axis]
+    # per-rank face elements per plane
+    share = float(np.prod(shape)) / (shape[part_axis] * p)
+    return sum(
+        _msg_time(machine, width * share * machine.itemsize, concurrent=p)
+        for width in (lo, hi)
+        if width
     )
-    for ax in axes:
-        lo, hi = op.reach[ax]
-        share = eta / (shape[ax] * p)  # per-rank face elements per plane
-        for width in (lo, hi):
-            if width:
-                total += _msg_time(
-                    machine,
-                    width * share * machine.itemsize,
-                    concurrent=p,
-                )
-    return total
+
 
 __all__ = [
-    "multipart_time",
     "wavefront_time",
     "transpose_time",
     "best_wavefront_chunks",
-    "best_processor_count_modeled",
 ]
 
 
@@ -69,8 +56,8 @@ def _msg_time(
     """End-to-end time of one message: both endpoint overheads plus wire.
 
     ``concurrent`` is how many such transfers are in flight simultaneously
-    (one per rank in a multipartitioned phase, one per pair in an
-    all-to-all round).  On a scalable network they overlap freely; on a
+    (one per rank in a pipeline stage, one per pair in an all-to-all
+    round).  On a scalable network they overlap freely; on a
     BUS they serialize through the shared channel (footnote 1), so the wire
     term is multiplied by the concurrency."""
     wire = machine.transfer_time(nbytes)
@@ -83,64 +70,6 @@ def _msg_time(
     )
 
 
-def multipart_time(
-    shape: tuple[int, ...],
-    partitioning: Multipartitioning,
-    machine: MachineModel,
-    schedule,
-    aggregate: bool = True,
-) -> float:
-    """Modeled time of a schedule under a multipartitioning.
-
-    One sweep along axis ``i``: ``gamma_i`` perfectly balanced compute
-    phases of ``eta / (gamma_i * p)`` points each, separated by
-    ``gamma_i - 1`` carry exchanges.  With aggregation each exchange is one
-    message carrying that rank's share of the cut hyper-surface,
-    ``eta / (eta_i * p)`` elements; without aggregation the same volume is
-    split into one message per tile in the slab.
-    """
-    eta = float(np.prod(shape))
-    p = partitioning.nprocs
-    gammas = partitioning.gammas
-    tiles_per_rank = partitioning.tiles_per_rank
-    total = 0.0
-    for op in schedule:
-        if isinstance(op, PointwiseOp):
-            total += machine.compute_time(
-                eta / p, op.flops_per_point, tiles=tiles_per_rank
-            )
-            continue
-        if isinstance(op, StencilOp):
-            total += machine.compute_time(
-                eta / p, op.flops_per_point, tiles=tiles_per_rank
-            )
-            total += _stencil_halo_time(machine, shape, op, p, gammas=gammas)
-            continue
-        axis = op.axis % len(shape)
-        g = gammas[axis]
-        # NOTE: `shape` includes any trailing component axis, so `eta`
-        # already counts individual scalars — block sweeps need no extra
-        # component factor (their carry planes are c-vectors, but the cut
-        # hyper-surface eta/shape[axis] counts them already).
-        compute = machine.compute_time(
-            eta / p, op.flops_per_point, tiles=tiles_per_rank
-        )
-        surface_elems = eta / (shape[axis] * p)
-        if aggregate:
-            per_phase = _msg_time(
-                machine, surface_elems * machine.itemsize, concurrent=p
-            )
-        else:
-            tiles = partitioning.tiles_per_slab_per_rank(axis)
-            per_phase = tiles * _msg_time(
-                machine,
-                surface_elems * machine.itemsize / tiles,
-                concurrent=p,
-            )
-        total += compute + (g - 1) * per_phase
-    return total
-
-
 def wavefront_time(
     shape: tuple[int, ...],
     nprocs: int,
@@ -149,8 +78,8 @@ def wavefront_time(
     part_axis: int = 0,
     chunks: int = 8,
 ) -> float:
-    """Modeled time under static block unipartitioning with ``chunks``-deep
-    pipelining of sweeps along the partitioned axis.
+    """Approximate time under static block unipartitioning with
+    ``chunks``-deep pipelining of sweeps along the partitioned axis.
 
     A pipelined sweep behaves like ``chunks + p - 1`` stages, each costing
     one chunk of compute plus one chunk-carry message.
@@ -193,7 +122,7 @@ def best_wavefront_chunks(
     part_axis: int = 0,
     max_chunks: int = 4096,
 ) -> tuple[int, float]:
-    """Pick the pipeline granularity minimizing modeled wavefront time —
+    """Pick the pipeline granularity minimizing approximate wavefront time —
     the tuning knob a careful hand coder would sweep."""
     limit = shape[0] if part_axis != 0 else shape[1]
     best = (1, float("inf"))
@@ -213,7 +142,7 @@ def transpose_time(
     schedule,
     part_axis: int = 0,
 ) -> float:
-    """Modeled time under dynamic block partitioning: local sweeps plus two
+    """Approximate time under dynamic block partitioning: local sweeps plus two
     all-to-alls (pairwise exchange, ``p - 1`` rounds) around every sweep
     along the partitioned axis."""
     eta = float(np.prod(shape))
@@ -241,38 +170,3 @@ def transpose_time(
             # pack + unpack memory passes over the local data, per transpose
             total += 2 * 2 * machine.compute_time(eta / p, ops=1.0)
     return total
-
-
-def best_processor_count_modeled(
-    shape: tuple[int, ...],
-    p: int,
-    machine: MachineModel,
-    schedule,
-    p_min: int | None = None,
-) -> tuple[int, float]:
-    """The Conclusions' processor-dropping search under the *full* machine
-    model (including per-tile overheads): returns ``(p_used, time)`` for the
-    fastest ``p' in [p_min, p]`` each running its own optimal partitioning.
-
-    Default ``p_min`` is the largest ``q**(d-1) <= p`` — the nearest lower
-    processor count guaranteed to admit a compact (diagonal) partitioning.
-    """
-    from repro.core.api import plan_multipartitioning
-
-    d = len(shape)
-    if p_min is None:
-        root = 1
-        while (root + 1) ** (d - 1) <= p:
-            root += 1
-        p_min = root ** (d - 1)
-    if not 1 <= p_min <= p:
-        raise ValueError("need 1 <= p_min <= p")
-    cost_model = machine.to_cost_model()
-    best: tuple[int, float] | None = None
-    for p_try in range(p_min, p + 1):
-        plan = plan_multipartitioning(shape, p_try, cost_model)
-        t = multipart_time(shape, plan.partitioning, machine, schedule)
-        if best is None or t < best[1]:
-            best = (p_try, t)
-    assert best is not None
-    return best

@@ -65,7 +65,7 @@ from .ops import (
     scan_op,
 )
 
-__all__ = ["MultipartExecutor"]
+__all__ = ["MultipartExecutor", "best_processor_count"]
 
 
 class _CarryPayload:
@@ -457,3 +457,51 @@ class MultipartExecutor:
                     f"{op.name} must return the core shape {block.shape}"
                 )
             out_blocks[tile][...] = result
+
+
+def best_processor_count(
+    shape: tuple[int, ...],
+    p: int,
+    machine: MachineModel,
+    schedule,
+    p_min: int | None = None,
+) -> tuple[int, float]:
+    """The Conclusions' processor-dropping search, timed by simulation:
+    returns ``(p_used, makespan)`` for the fastest ``p' in [p_min, p]``,
+    each running its own optimal partitioning as a compiled skeleton
+    (:meth:`MultipartExecutor.run_skeleton`).  A ``p'`` whose tiling cuts
+    some axis into more tiles than it has points is skipped; if every
+    ``p'`` is, :class:`ValueError` is raised.
+
+    Default ``p_min`` is the largest ``q**(d-1) <= p`` — the nearest lower
+    processor count guaranteed to admit a compact (diagonal) partitioning.
+    """
+    from repro.core.api import plan_multipartitioning
+
+    d = len(shape)
+    if p_min is None:
+        root = 1
+        while (root + 1) ** (d - 1) <= p:
+            root += 1
+        p_min = root ** (d - 1)
+    if not 1 <= p_min <= p:
+        raise ValueError("need 1 <= p_min <= p")
+    cost_model = machine.to_cost_model()
+    best: tuple[int, float] | None = None
+    for p_try in range(p_min, p + 1):
+        plan = plan_multipartitioning(shape, p_try, cost_model)
+        try:
+            executor = MultipartExecutor(
+                plan.partitioning, shape, machine, payload="skeleton"
+            )
+        except ValueError:
+            continue
+        t = executor.run_skeleton(schedule).makespan
+        if best is None or t < best[1]:
+            best = (p_try, t)
+    if best is None:
+        raise ValueError(
+            f"no processor count in [{p_min}, {p}] tiles the "
+            f"{'x'.join(map(str, shape))} array"
+        )
+    return best

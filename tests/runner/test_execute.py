@@ -53,18 +53,8 @@ class TestModes:
         assert result["gammas"] == [5, 10, 10]
         assert result["candidates_examined"] == 12
         assert result["compact"] is False
-        assert "modeled_time" not in result
+        assert "sequential_time" not in result
         assert "summary" not in result
-
-    def test_modeled_mode_fields(self):
-        result = run_spec(
-            ExperimentSpec(shape=(12, 12, 12), p=4, mode="modeled")
-        )
-        assert result["modeled_time"] > 0
-        assert result["sequential_time"] > 0
-        assert result["speedup"] == pytest.approx(
-            result["sequential_time"] / result["modeled_time"]
-        )
 
     def test_simulated_mode_verifies_numerics(self):
         result = run_spec(

@@ -31,7 +31,7 @@ class TestSpecFaults:
             )
 
     def test_faults_need_a_message_timeline(self):
-        for mode in ("plan", "modeled"):
+        for mode in ("plan",):
             with pytest.raises(ValueError, match="simulated or skeleton"):
                 ExperimentSpec(
                     shape=(8, 8, 8), p=4, mode=mode,

@@ -30,7 +30,7 @@ class TestExpandGrid:
         (spec,) = specs
         assert spec.app == "sp"
         assert spec.machine == "origin2000"
-        assert spec.mode == "modeled"
+        assert spec.mode == "skeleton"
         assert spec.objective == "full"
         assert spec.seed == 2002
 

@@ -55,6 +55,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(shape=(8, 8), p=2, mode="telepathic")
 
+    def test_modeled_mode_is_gone(self):
+        with pytest.raises(ValueError) as exc:
+            ExperimentSpec(shape=(8, 8), p=2, mode="modeled")
+        assert "('plan', 'simulated', 'skeleton')" in str(exc.value)
+
+    def test_default_mode_is_skeleton(self):
+        assert ExperimentSpec(shape=(8, 8), p=2).mode == "skeleton"
+
     def test_rejects_bad_app(self):
         with pytest.raises(ValueError):
             ExperimentSpec(shape=(8, 8), p=2, app="lu")

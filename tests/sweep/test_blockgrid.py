@@ -113,7 +113,7 @@ class TestBlockGridModel:
         from repro.apps.sp import sp_class
         from repro.core.api import plan_multipartitioning
         from repro.simmpi.machine import origin2000
-        from repro.sweep.modeled import multipart_time
+        from repro.sweep.multipart import MultipartExecutor
 
         machine = origin2000()
         prob = sp_class("B", steps=1)
@@ -123,7 +123,9 @@ class TestBlockGridModel:
             plan = plan_multipartitioning(
                 prob.shape, p, machine.to_cost_model()
             )
-            tm = multipart_time(prob.shape, plan.partitioning, machine, sched)
+            tm = MultipartExecutor(
+                plan.partitioning, prob.shape, machine, payload="skeleton"
+            ).run_skeleton(sched).makespan
             best_bg = min(
                 blockgrid_time(prob.shape, (p1, p2), machine, sched, chunks=c)
                 for c in (4, 8, 16, 32)

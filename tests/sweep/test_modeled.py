@@ -1,19 +1,17 @@
-"""Modeled-time formulas cross-checked against simulated executions."""
+"""Closed-form baseline times cross-checked against simulated executions,
+and the skeleton-timed multipartitioning behaviour they are compared with."""
 
-import numpy as np
 import pytest
 
 from repro.apps.workloads import random_field
 from repro.core.api import plan_multipartitioning
 from repro.simmpi.machine import MachineModel
 from repro.sweep.modeled import (
-    best_processor_count_modeled,
     best_wavefront_chunks,
-    multipart_time,
     transpose_time,
     wavefront_time,
 )
-from repro.sweep.multipart import MultipartExecutor
+from repro.sweep.multipart import MultipartExecutor, best_processor_count
 from repro.sweep.ops import PointwiseOp, SweepOp, thomas_ops
 from repro.sweep.transpose import TransposeExecutor
 from repro.sweep.wavefront import WavefrontExecutor
@@ -36,21 +34,16 @@ def schedule(shape):
     ]
 
 
-class TestModelVsSimulation:
-    """The closed-form model must track the simulator closely (it is the
-    same accounting, minus pipeline-overlap effects)."""
+def skeleton_makespan(shape, p, m, sched, aggregate=True):
+    plan = plan_multipartitioning(shape, p, m.to_cost_model())
+    return MultipartExecutor(
+        plan.partitioning, shape, m, aggregate=aggregate, payload="skeleton"
+    ).run_skeleton(sched).makespan
 
-    @pytest.mark.parametrize("p", [2, 4, 8, 12])
-    def test_multipart(self, p):
-        m = machine()
-        shape = (16, 16, 16)
-        sched = schedule(shape)
-        plan = plan_multipartitioning(shape, p, m.to_cost_model())
-        _, res = MultipartExecutor(plan.partitioning, shape, m).run(
-            random_field(shape), sched
-        )
-        predicted = multipart_time(shape, plan.partitioning, m, sched)
-        assert predicted == pytest.approx(res.makespan, rel=0.35)
+
+class TestModelVsSimulation:
+    """The closed-form baseline models must track the simulator closely
+    (it is the same accounting, minus pipeline-overlap effects)."""
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_transpose(self, p):
@@ -79,10 +72,9 @@ class TestModelBehaviour:
     def test_multipart_aggregation_saves_startup(self):
         m = machine()
         shape = (24, 24, 24)
-        plan = plan_multipartitioning(shape, 6, m.to_cost_model())
         sched = [SweepOp(axis=2, mult=0.5)]
-        agg = multipart_time(shape, plan.partitioning, m, sched, True)
-        raw = multipart_time(shape, plan.partitioning, m, sched, False)
+        agg = skeleton_makespan(shape, 6, m, sched, aggregate=True)
+        raw = skeleton_makespan(shape, 6, m, sched, aggregate=False)
         assert agg <= raw
 
     def test_wavefront_chunk_tradeoff(self):
@@ -107,12 +99,7 @@ class TestModelBehaviour:
         m = machine()
         shape = (48, 48, 48)
         sched = schedule(shape)
-        times = []
-        for p in (1, 4, 16):
-            plan = plan_multipartitioning(shape, p, m.to_cost_model())
-            times.append(
-                multipart_time(shape, plan.partitioning, m, sched)
-            )
+        times = [skeleton_makespan(shape, p, m, sched) for p in (1, 4, 16)]
         assert times[0] > times[1] > times[2]
 
     def test_best_processor_count_49_vs_50(self):
@@ -122,7 +109,7 @@ class TestModelBehaviour:
         from repro.simmpi.machine import origin2000
 
         prob = sp_class("B", steps=1)
-        p_used, _ = best_processor_count_modeled(
+        p_used, _ = best_processor_count(
             prob.shape, 50, origin2000(), prob.schedule()
         )
         assert p_used == 49
@@ -132,13 +119,29 @@ class TestModelBehaviour:
         from repro.simmpi.machine import origin2000
 
         prob = sp_class("A", steps=1)
-        p_used, _ = best_processor_count_modeled(
+        p_used, _ = best_processor_count(
             prob.shape, 49, origin2000(), prob.schedule()
         )
         assert p_used == 49
 
+    def test_best_processor_count_class_b_p1000(self):
+        """35 of the counts in [961, 1000] cut a 102-point axis into more
+        tiles than it has points; the search skips them."""
+        from repro.apps.sp import sp_class
+        from repro.simmpi.machine import origin2000
+
+        prob = sp_class("B", steps=1)
+        p_used, _ = best_processor_count(
+            prob.shape, 1000, origin2000(), prob.schedule()
+        )
+        assert p_used == 961
+
+    def test_best_processor_count_needs_a_valid_tiling(self):
+        with pytest.raises(ValueError, match=r"\[81, 81\] tiles the 8x8x8"):
+            best_processor_count((8, 8, 8), 81, machine(), [])
+
     def test_bad_pmin(self):
         with pytest.raises(ValueError):
-            best_processor_count_modeled(
+            best_processor_count(
                 (16, 16, 16), 4, machine(), [], p_min=9
             )

@@ -37,7 +37,9 @@ from repro.simmpi.message import Bytes, ComputeOp, MarkOp, RecvOp, SendOp
 from repro.simmpi.summary import RunSummary
 from repro.simmpi.topology import topology_for
 from repro.sweep import multipart
+from repro.sweep.modeled import _msg_time
 from repro.sweep.multipart import MultipartExecutor
+from repro.sweep.ops import PointwiseOp, StencilOp
 
 FIELDS = (
     "clocks",
@@ -325,14 +327,47 @@ class TestDispatch:
         assert json.dumps(static.to_dict()) == json.dumps(traced.to_dict())
 
 
+def section_3_1_time(shape, partitioning, machine, schedule) -> float:
+    """The §3.1 closed form of a schedule's time under a multipartitioning
+    with aggregated communication.  A sweep along axis ``i`` is ``gamma_i``
+    balanced compute phases separated by ``gamma_i - 1`` exchanges of one
+    message per rank carrying its share of the cut hyper-surface,
+    ``eta / (eta_i * p)`` elements; a stencil sends one such message per
+    cut axis and nonzero side of its reach."""
+    eta = float(np.prod(shape))
+    p = partitioning.nprocs
+    gammas = partitioning.gammas
+
+    def message(elems: float) -> float:
+        return _msg_time(machine, elems * machine.itemsize, concurrent=p)
+
+    total = 0.0
+    for op in schedule:
+        total += machine.compute_time(
+            eta / p, op.flops_per_point, tiles=partitioning.tiles_per_rank
+        )
+        if isinstance(op, PointwiseOp):
+            continue
+        if isinstance(op, StencilOp):
+            for axis, gamma in enumerate(gammas):
+                if gamma == 1:
+                    continue
+                share = eta / (shape[axis] * p)
+                for width in op.reach[axis]:
+                    if width:
+                        total += message(width * share)
+            continue
+        axis = op.axis % len(shape)
+        total += (gammas[axis] - 1) * message(eta / (shape[axis] * p))
+    return total
+
+
 @pytest.mark.parametrize("machine_factory", [origin2000, ethernet_cluster])
 @pytest.mark.parametrize("app", ["sp", "bt", "adi"])
 @pytest.mark.parametrize("n, p", [(36, 4), (36, 9), (64, 16), (64, 64)])
 def test_even_shapes_reproduce_section_3_1_model(machine_factory, app, n, p):
     """With every tile the same size the skeleton makespan is the §3.1
-    closed form (``sweep.modeled.multipart_time``) up to rounding."""
-    from repro.sweep.modeled import multipart_time
-
+    closed form (:func:`section_3_1_time`) up to rounding."""
     machine = machine_factory()
     config = plan_app(app, (n,) * 3, p, cost_model=machine.to_cost_model())
     shape = config.problem.field_shape
@@ -341,5 +376,5 @@ def test_even_shapes_reproduce_section_3_1_model(machine_factory, app, n, p):
     run = MultipartExecutor(
         config.partitioning, shape, machine, payload="skeleton"
     ).run_skeleton(schedule)
-    modeled = multipart_time(shape, config.partitioning, machine, schedule)
-    assert run.makespan == pytest.approx(modeled, rel=1e-12)
+    closed = section_3_1_time(shape, config.partitioning, machine, schedule)
+    assert run.makespan == pytest.approx(closed, rel=1e-12)

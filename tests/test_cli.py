@@ -66,10 +66,7 @@ class TestTables:
         assert "# CPUs" in out
 
     def test_table1_skeleton_mode(self, capsys):
-        out = run_cli(
-            capsys, "table1", "--class", "A", "--mode", "skeleton",
-            "--max-p", "9",
-        )
+        out = run_cli(capsys, "table1", "--class", "A", "--max-p", "9")
         assert "skeleton" in out  # title reflects the mode
         assert "# CPUs" in out
         # --max-p trims the processor-count rows
@@ -81,9 +78,23 @@ class TestTables:
         out = run_cli(capsys, "figure1")
         assert "layer k=0" in out
 
+    def test_table1_has_no_mode_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--mode", "modeled"])
+        assert exc.value.code == 2
+
     def test_drop(self, capsys):
         out = run_cli(capsys, "drop", "-p", "50")
         assert "p'=49" in out
+
+    def test_drop_without_a_valid_tiling_fails_cleanly(self, capsys):
+        # every count in [81, 81] needs a 9x9x9 tiling of an 8^3 array
+        assert main(["drop", "--shape", "8,8,8", "-p", "81"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "drop: no processor count in [81, 81] tiles the 8x8x8 array\n"
+        )
 
     def test_count(self, capsys):
         out = run_cli(capsys, "count", "--limit", "250")
@@ -286,6 +297,15 @@ class TestSweep:
     def test_requires_grid_or_flags(self, capsys):
         assert main(["sweep"]) == 2
 
+    def test_modeled_mode_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--shapes", "8x8x8", "--nprocs", "2",
+                "--mode", "modeled", "--no-cache",
+            ])
+        assert exc.value.code == 2
+        assert "invalid choice: 'modeled'" in capsys.readouterr().err
+
 
 class TestFaultCommands:
     def test_sweep_fault_drops_axis(self, capsys):
@@ -315,10 +335,10 @@ class TestFaultCommands:
         (result,) = out["results"]
         assert result["fault_plan"]["straggler_factor"] == 2.0
 
-    def test_sweep_faults_reject_modeled_mode(self, capsys):
+    def test_sweep_faults_reject_plan_mode(self, capsys):
         assert main([
             "sweep", "--shapes", "8x8x8", "--nprocs", "2",
-            "--fault-drops", "0.1", "--no-cache",
+            "--mode", "plan", "--fault-drops", "0.1", "--no-cache",
         ]) == 2
         assert "simulated or skeleton" in capsys.readouterr().err
 

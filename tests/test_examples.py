@@ -14,7 +14,6 @@ EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 CASES = [
     ("quickstart.py", ["6"]),
-    ("nas_sp_scaling.py", ["B"]),
     ("anisotropic_domains.py", []),
     ("visualize_mapping.py", []),
     ("visualize_mapping.py", ["8", "4", "4", "2"]),

@@ -88,13 +88,13 @@ class TestRunnerPreFlight:
         assert verified == plain
         assert "verify" not in verified
 
-    def test_run_spec_verify_modeled_mode(self):
+    def test_run_spec_verify_skeleton_mode(self):
         spec = ExperimentSpec(
-            app="adi", shape=(8, 8, 8), p=2, mode="modeled"
+            app="adi", shape=(8, 8, 8), p=2, mode="skeleton"
         )
         result = run_spec(spec, verify=True)
-        assert "error" not in result
-        assert result["modeled_time"] > 0
+        assert result == run_spec(spec)
+        assert result["summary"]["makespan"] > 0
 
     @pytest.mark.parametrize("app", ["sp", "bt", "adi"])
     def test_failing_pre_flight_certifies_like_check(self, app, monkeypatch):
