@@ -56,7 +56,6 @@ def render_figure1(partitioning: Multipartitioning, axis: int = 2) -> str:
 def format_table1(
     rows: list[SpeedupRow],
     include_paper: bool = True,
-    mode: str = "skeleton",
 ) -> str:
     """Render Table 1, optionally alongside the published numbers."""
     headers = ["# CPUs", "tiling", "hand-coded", "dHPF", "% diff."]
@@ -78,5 +77,5 @@ def format_table1(
         headers,
         body,
         title="Table 1: NAS SP speedups, hand-coded (diagonal) vs dHPF "
-        f"(generalized), {mode}",
+        "(generalized), skeleton",
     )

@@ -79,7 +79,6 @@ def sp_speedup_table(
     machine: MachineModel | None = None,
     dhpf_compute_overhead: float = 1.03,
     runner: BatchRunner | None = None,
-    mode: str = "skeleton",
 ) -> list[SpeedupRow]:
     """Table 1 from simulated makespans.
 
@@ -88,12 +87,8 @@ def sp_speedup_table(
     the raw model.  The hand-coded version exists only on perfect squares
     (it is restricted to diagonal multipartitionings).  All configurations
     run through ``runner`` (a fresh cacheless :class:`BatchRunner` by
-    default) as SP experiment specs in the given ``mode``: ``"skeleton"``
-    (payload-free, tractable at class B) or ``"simulated"`` (real data,
-    small shapes only).
+    default) as payload-free SP skeleton specs, tractable at class B.
     """
-    if mode not in ("simulated", "skeleton"):
-        raise ValueError(f"unsupported table mode {mode!r}")
     machine = machine or origin2000()
     machine_name, machine_params = machine_spec_fields(machine)
     runner = runner or BatchRunner()
@@ -102,7 +97,7 @@ def sp_speedup_table(
         return ExperimentSpec(
             shape=shape,
             p=p,
-            mode=mode,
+            mode="skeleton",
             app="sp",
             machine=machine_name,
             machine_params=machine_params,

@@ -29,7 +29,8 @@ compiled program:
   or an unpaired program are involved;
 * real-data mode interprets the per-rank ops, running the numpy kernels at
   compute entries and packing payloads at sends;
-* the static verifier lowers them to its IR (:mod:`repro.verify.ir`);
+* the static verifier analyzes the per-rank ops themselves as its IR
+  (:mod:`repro.verify.ir`);
 * :mod:`repro.hpf.commsched` folds the sends into message plans.
 """
 

@@ -6,14 +6,14 @@ Public surface:
   configuration, producing a ``repro.verify-report.v1`` document;
 * :func:`verify_planned` — prove + analyze a configuration already planned
   by :func:`repro.apps.plan_app` (the runner's ``verify=True`` pre-flight);
-* :func:`verify_ir` — the communication analyses over an already-extracted
+* :func:`verify_ir` — the communication analyses over a
   :class:`ProgramIR`;
-* :func:`extract_program_ir` — lower an executor's compiled per-rank op
-  lists to the side-effect-free IR;
+* :func:`extract_program_ir` — an executor's compiled per-rank op tuples
+  as a :class:`ProgramIR`, the same ops the engine replays;
 * :func:`check_invariants` — the paper-invariant proof pass on a concrete
   tile-to-rank assignment;
 * the report vocabulary (:class:`VerifyReport`, :class:`AnalysisResult`,
-  :class:`Violation`) and the IR ops.
+  :class:`Violation`).
 
 The determinism lint lives in :mod:`repro.verify.lint` and is runnable as
 ``python -m repro.verify.lint src/``.
@@ -23,14 +23,7 @@ from .abstract import AbstractRun, execute_abstract
 from .checker import verify_config, verify_ir, verify_planned
 from .deadlock import check_deadlock
 from .invariants import check_invariants
-from .ir import (
-    IRCompute,
-    IRMark,
-    IRRecv,
-    IRSend,
-    ProgramIR,
-    extract_program_ir,
-)
+from .ir import ProgramIR, extract_program_ir
 from .matching import check_matching
 from .protocol import check_protocol
 from .races import check_races, vector_clocks
@@ -40,10 +33,6 @@ __all__ = [
     "SCHEMA",
     "AbstractRun",
     "AnalysisResult",
-    "IRCompute",
-    "IRMark",
-    "IRRecv",
-    "IRSend",
     "ProgramIR",
     "VerifyReport",
     "Violation",

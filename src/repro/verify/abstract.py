@@ -22,9 +22,9 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 
-from repro.simmpi.message import ANY_TAG
+from repro.simmpi.message import ANY_TAG, RecvOp, SendOp
 
-from .ir import IRRecv, IRSend, ProgramIR
+from .ir import ProgramIR
 
 __all__ = ["OpRef", "AbstractRun", "execute_abstract"]
 
@@ -62,15 +62,14 @@ def execute_abstract(ir: ProgramIR) -> AbstractRun:
     matching: dict[OpRef, OpRef] = {}
     send_order: list[OpRef] = []
 
-    def try_recv(rank: int, op: IRRecv) -> bool:
+    def try_recv(rank: int, op: RecvOp) -> bool:
         if op.tag == ANY_TAG:
             seq = arrivals.get((rank, op.source))
             if not seq:
                 return False
             send_ref = seq.popleft()
-            send_op = ir.ranks[send_ref[0]][send_ref[1]]
-            assert isinstance(send_op, IRSend)
-            channels[(op.source, rank, send_op.tag)].remove(send_ref)
+            send_tag = ir.ranks[send_ref[0]][send_ref[1]].tag
+            channels[(op.source, rank, send_tag)].remove(send_ref)
         else:
             q = channels.get((op.source, rank, op.tag))
             if not q:
@@ -86,14 +85,15 @@ def execute_abstract(ir: ProgramIR) -> AbstractRun:
         i = pos[rank]
         while i < len(ops):
             op = ops[i]
-            if isinstance(op, IRSend):
+            kind = op.__class__
+            if kind is SendOp:
                 ref = (rank, i)
                 channels.setdefault(
                     (rank, op.dest, op.tag), deque()
                 ).append(ref)
                 arrivals.setdefault((op.dest, rank), deque()).append(ref)
                 send_order.append(ref)
-            elif isinstance(op, IRRecv):
+            elif kind is RecvOp:
                 pos[rank] = i
                 if not try_recv(rank, op):
                     return

@@ -19,16 +19,18 @@ A completed abstract run yields a trivially-ok result.
 
 from __future__ import annotations
 
+from repro.simmpi.message import RecvOp
+
 from .abstract import AbstractRun, OpRef
-from .ir import IRRecv, ProgramIR
+from .ir import ProgramIR
 from .report import AnalysisResult, Violation
 
 __all__ = ["check_deadlock"]
 
 
-def _recv_at(ir: ProgramIR, ref: OpRef) -> IRRecv:
+def _recv_at(ir: ProgramIR, ref: OpRef) -> RecvOp:
     op = ir.ranks[ref[0]][ref[1]]
-    if not isinstance(op, IRRecv):  # pragma: no cover - engine invariant
+    if op.__class__ is not RecvOp:  # pragma: no cover - engine invariant
         raise AssertionError(f"blocked op at {ref} is not a recv: {op!r}")
     return op
 
@@ -74,8 +76,7 @@ def check_deadlock(ir: ProgramIR, run: AbstractRun) -> AnalysisResult:
     for cycle in cycles:
         chain: list[dict] = []
         for rank in cycle:
-            op = _recv_at(ir, blocked[rank])
-            chain.append(op.witness())
+            chain.append(ir.witness(*blocked[rank]))
         ranks = " -> ".join(str(r) for r in cycle + [cycle[0]])
         phases = sorted({op["phase"] for op in chain if op["phase"]})
         violations.append(
@@ -114,7 +115,7 @@ def check_deadlock(ir: ProgramIR, run: AbstractRun) -> AnalysisResult:
                     f"sending it"
                 ),
                 witness={
-                    "recv": op.witness(),
+                    "recv": ir.witness(*blocked[rank]),
                     "source_finished": True,
                     "dependent_ranks": dependents,
                 },

@@ -1,175 +1,52 @@
-"""The rank-program IR: a side-effect-free view of what every rank does.
+"""The rank-program IR: the compiled per-rank op tuples themselves.
 
-The IR is a tuple of per-rank op sequences.  Each op is a small frozen
-record carrying its own coordinates — ``(rank, index)`` — plus the fields
-the analyses need (peer, tag, declared byte count, phase annotation), and
-nothing else: no payloads, no numpy arrays, no generators.  Analyses over
-the IR therefore cannot mutate simulator state, and extracting the IR
-cannot run any computation of the underlying schedule.
+``ProgramIR.ranks`` is :attr:`repro.sweep.compile.CompiledSchedule.ops`:
+one tuple per rank of the primitive ops of :mod:`repro.simmpi.message`
+(``SendOp``/``RecvOp``/``ComputeOp``/``MarkOp``) that skeleton mode times
+and the real-data interpreter walks, so a verdict about the IR is a
+verdict about the program the engine runs.  An op is identified by its
+coordinates ``(rank, index)``, its position in ``ranks``; phase-span marks
+count as positions like any other op.  Analyses switch on
+``op.__class__`` and never run an op or touch a payload.
 
-Extraction lowers the executor's compiled schedule
-(:meth:`repro.sweep.multipart.MultipartExecutor.compile`): the same
-per-rank op lists skeleton mode times and the real-data interpreter
-walks, so verdicts about the IR hold for both executions by
-construction.  No rank program runs and no payload is touched.
+The phase an op sits in is not stored per op: :meth:`ProgramIR.witness`
+folds a rank's phase-span marks (:func:`fold_phases`) the first time it
+describes an op of that rank, so a clean verdict never pays for it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterator, Sequence, Union
+from typing import Any, Iterator, Sequence
 
 from repro.simmpi.message import (
     ANY_TAG,
     PHASE_BEGIN,
     PHASE_END,
-    ComputeOp,
     MarkOp,
     RecvOp,
     SendOp,
     payload_nbytes,
 )
 
-__all__ = [
-    "IRSend",
-    "IRRecv",
-    "IRCompute",
-    "IRMark",
-    "IROp",
-    "ProgramIR",
-    "extract_program_ir",
-]
+__all__ = ["ProgramIR", "extract_program_ir", "fold_phases"]
+
+_SPAN_PREFIXES = (PHASE_BEGIN, PHASE_END)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class IRSend:
-    """An eager (never-blocking) send of ``nbytes`` to ``(dest, tag)``."""
-
-    rank: int
-    index: int
-    dest: int
-    tag: int
-    nbytes: int
-    phase: str = ""
-
-    def witness(self) -> dict:
-        return {
-            "kind": "send",
-            "rank": self.rank,
-            "op_index": self.index,
-            "dest": self.dest,
-            "tag": self.tag,
-            "nbytes": self.nbytes,
-            "phase": self.phase,
-        }
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class IRRecv:
-    """A blocking receive from ``(source, tag)``; ``tag`` may be ANY_TAG."""
-
-    rank: int
-    index: int
-    source: int
-    tag: int
-    phase: str = ""
-
-    def witness(self) -> dict:
-        return {
-            "kind": "recv",
-            "rank": self.rank,
-            "op_index": self.index,
-            "source": self.source,
-            "tag": "ANY" if self.tag == ANY_TAG else self.tag,
-            "phase": self.phase,
-        }
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class IRCompute:
-    """A local compute charge (kept for completeness; analyses skip it)."""
-
-    rank: int
-    index: int
-    seconds: float
-    phase: str = ""
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class IRMark:
-    """A trace marker (op labels; phase begin/end already folded into the
-    per-op ``phase`` field during extraction)."""
-
-    rank: int
-    index: int
-    label: str
-    phase: str = ""
-
-
-IROp = Union[IRSend, IRRecv, IRCompute, IRMark]
-
-
-@dataclasses.dataclass(frozen=True)
-class ProgramIR:
-    """The complete program: one op tuple per rank."""
-
-    nprocs: int
-    ranks: tuple[tuple[IROp, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.ranks) != self.nprocs:
-            raise ValueError(
-                f"expected {self.nprocs} rank op lists, got {len(self.ranks)}"
-            )
-
-    def sends(self) -> Iterator[IRSend]:
-        for ops in self.ranks:
-            for op in ops:
-                if isinstance(op, IRSend):
-                    yield op
-
-    def recvs(self) -> Iterator[IRRecv]:
-        for ops in self.ranks:
-            for op in ops:
-                if isinstance(op, IRRecv):
-                    yield op
-
-    @property
-    def total_ops(self) -> int:
-        return sum(len(ops) for ops in self.ranks)
-
-    @property
-    def total_sends(self) -> int:
-        return sum(1 for _ in self.sends())
-
-    @property
-    def total_send_bytes(self) -> int:
-        return sum(s.nbytes for s in self.sends())
-
-    def replace_rank(self, rank: int, ops: tuple[IROp, ...]) -> "ProgramIR":
-        """A copy with one rank's op sequence substituted — the mutation
-        hook the self-test harness uses."""
-        ranks = list(self.ranks)
-        ranks[rank] = tuple(ops)
-        return ProgramIR(self.nprocs, tuple(ranks))
-
-
-def _lower_rank(rank: int, raw_ops: Sequence[Any]) -> tuple[IROp, ...]:
-    """Lower primitive ops to IR records, folding phase-span marks into a
-    per-op ``phase`` path (mirroring the engine's attribution rule: the
-    innermost open phase wins)."""
-    out: list[IROp] = []
+def fold_phases(rank: int, ops: Sequence[Any]) -> tuple[str, ...]:
+    """The ``"/"``-joined phase path of every op of one rank, mirroring
+    the engine's attribution rule: the innermost open phase wins.  A
+    phase-span mark gets the path it leaves open."""
+    paths: list[str] = []
     stack: list[str] = []
     path = ""
-    for op in raw_ops:
-        index = len(out)
-        if isinstance(op, MarkOp):
+    for op in ops:
+        if op.__class__ is MarkOp and op.label.startswith(_SPAN_PREFIXES):
             label = op.label
             if label.startswith(PHASE_BEGIN):
                 stack.append(label[len(PHASE_BEGIN):])
-                path = "/".join(stack)
-                continue
-            if label.startswith(PHASE_END):
+            else:
                 name = label[len(PHASE_END):]
                 if not stack or stack[-1] != name:
                     raise ValueError(
@@ -177,43 +54,106 @@ def _lower_rank(rank: int, raw_ops: Sequence[Any]) -> tuple[IROp, ...]:
                         f"the open phase stack {stack!r}"
                     )
                 stack.pop()
-                path = "/".join(stack)
-                continue
-            out.append(IRMark(rank, index, label, path))
-        elif isinstance(op, SendOp):
-            out.append(
-                IRSend(
-                    rank,
-                    index,
-                    op.dest,
-                    op.tag,
-                    payload_nbytes(op.payload),
-                    path,
-                )
-            )
-        elif isinstance(op, RecvOp):
-            out.append(IRRecv(rank, index, op.source, op.tag, path))
-        elif isinstance(op, ComputeOp):
-            out.append(IRCompute(rank, index, op.seconds, path))
-        else:  # pragma: no cover - the compiler emits primitive ops only
-            raise TypeError(f"unsupported primitive op {op!r}")
+            path = "/".join(stack)
+        paths.append(path)
     if stack:
         raise ValueError(f"rank {rank}: unclosed phase span(s) {stack!r}")
-    return tuple(out)
+    return tuple(paths)
+
+
+@dataclasses.dataclass(frozen=True)
+class ProgramIR:
+    """The complete program: one op tuple per rank."""
+
+    nprocs: int
+    ranks: tuple[tuple[Any, ...], ...]
+    _phases: dict[int, tuple[str, ...]] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if len(self.ranks) != self.nprocs:
+            raise ValueError(
+                f"expected {self.nprocs} rank op lists, got {len(self.ranks)}"
+            )
+
+    def sends(self) -> Iterator[tuple[int, int, SendOp]]:
+        """Every send as ``(rank, index, op)``, in rank then program order."""
+        for rank, ops in enumerate(self.ranks):
+            for index, op in enumerate(ops):
+                if op.__class__ is SendOp:
+                    yield rank, index, op
+
+    def recvs(self) -> Iterator[tuple[int, int, RecvOp]]:
+        """Every receive as ``(rank, index, op)``."""
+        for rank, ops in enumerate(self.ranks):
+            for index, op in enumerate(ops):
+                if op.__class__ is RecvOp:
+                    yield rank, index, op
+
+    @property
+    def total_ops(self) -> int:
+        """Every op except phase-span marks."""
+        return sum(
+            1
+            for ops in self.ranks
+            for op in ops
+            if op.__class__ is not MarkOp
+            or not op.label.startswith(_SPAN_PREFIXES)
+        )
+
+    @property
+    def total_sends(self) -> int:
+        return sum(1 for _ in self.sends())
+
+    @property
+    def total_send_bytes(self) -> int:
+        return sum(payload_nbytes(op.payload) for _, _, op in self.sends())
+
+    def replace_rank(
+        self, rank: int, ops: tuple[Any, ...]
+    ) -> "ProgramIR":
+        """A copy with one rank's op sequence substituted — the mutation
+        hook the self-test harness uses."""
+        ranks = list(self.ranks)
+        ranks[rank] = tuple(ops)
+        return ProgramIR(self.nprocs, tuple(ranks))
+
+    def witness(self, rank: int, index: int) -> dict[str, Any]:
+        """The JSON description of the send or receive at ``(rank,
+        index)`` that violation reports carry."""
+        phases = self._phases.get(rank)
+        if phases is None:
+            phases = self._phases[rank] = fold_phases(rank, self.ranks[rank])
+        op = self.ranks[rank][index]
+        if op.__class__ is SendOp:
+            return {
+                "kind": "send",
+                "rank": rank,
+                "op_index": index,
+                "dest": op.dest,
+                "tag": op.tag,
+                "nbytes": payload_nbytes(op.payload),
+                "phase": phases[index],
+            }
+        return {
+            "kind": "recv",
+            "rank": rank,
+            "op_index": index,
+            "source": op.source,
+            "tag": "ANY" if op.tag == ANY_TAG else op.tag,
+            "phase": phases[index],
+        }
 
 
 def extract_program_ir(executor: Any, schedule: Any) -> ProgramIR:
-    """Extract the :class:`ProgramIR` of ``schedule`` on ``executor``.
+    """The :class:`ProgramIR` of ``schedule`` on ``executor``.
 
     ``executor`` is a :class:`repro.sweep.multipart.MultipartExecutor`;
-    its compiled per-rank op lists are lowered one rank at a time.  Phase
+    the IR is its compiled per-rank op tuples, with no per-op work.  Phase
     marks are only compiled when the executor was constructed with mark
-    emission enabled (``record_events=True`` or any sink attached); the IR
-    is structurally identical either way — phases just stay empty strings
-    otherwise.
+    emission enabled (``record_events=True`` or any sink attached);
+    witness phases are empty strings otherwise.
     """
     compiled = executor.compile(schedule)
-    ranks = tuple(
-        _lower_rank(rank, ops) for rank, ops in enumerate(compiled.ops)
-    )
-    return ProgramIR(compiled.nprocs, ranks)
+    return ProgramIR(compiled.nprocs, compiled.ops)

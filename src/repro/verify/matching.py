@@ -13,18 +13,23 @@ Violation kinds:
   messages are never consumed);
 * ``missing-send``   — more receives than sends (the extra receives can
   never complete);
-* ``any-tag-deficit`` / ``any-tag-surplus`` — ANY_TAG receives on a
-  ``(src, dst)`` pair outnumber (or undercount) the sends left after all
-  tag-specific receives are satisfied.
+* ``any-tag-deficit`` — ANY_TAG receives on a ``(src, dst)`` pair
+  outnumber the sends left after all tag-specific receives are satisfied
+  (sends left over after the ANY_TAG receives are ``orphan-send``).
+
+Witness ops are ``(rank, index)`` positions in the compiled per-rank op
+tuples, described by :meth:`~repro.verify.ir.ProgramIR.witness`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Any
 
 from repro.simmpi.message import ANY_TAG
 
-from .ir import IRRecv, IRSend, ProgramIR
+from .abstract import OpRef
+from .ir import ProgramIR
 from .report import AnalysisResult, Violation
 
 __all__ = ["check_matching"]
@@ -34,19 +39,22 @@ _WITNESS_CAP = 5  # op witnesses listed per violation
 
 def check_matching(ir: ProgramIR) -> AnalysisResult:
     """Count-match every ``(src, dst, tag)`` channel of ``ir``."""
-    sends: dict[tuple[int, int], dict[int, list[IRSend]]] = defaultdict(
+    sends: dict[tuple[int, int], dict[int, list[OpRef]]] = defaultdict(
         lambda: defaultdict(list)
     )
-    recvs: dict[tuple[int, int], dict[int, list[IRRecv]]] = defaultdict(
+    recvs: dict[tuple[int, int], dict[int, list[OpRef]]] = defaultdict(
         lambda: defaultdict(list)
     )
     n_sends = n_recvs = 0
-    for send in ir.sends():
-        sends[(send.rank, send.dest)][send.tag].append(send)
+    for rank, index, send in ir.sends():
+        sends[(rank, send.dest)][send.tag].append((rank, index))
         n_sends += 1
-    for recv in ir.recvs():
-        recvs[(recv.source, recv.rank)][recv.tag].append(recv)
+    for rank, index, recv in ir.recvs():
+        recvs[(recv.source, rank)][recv.tag].append((rank, index))
         n_recvs += 1
+
+    def witnesses(refs: list[OpRef]) -> list[dict[str, Any]]:
+        return [ir.witness(*ref) for ref in refs[:_WITNESS_CAP]]
 
     violations: list[Violation] = []
     pairs = sorted(set(sends) | set(recvs))
@@ -56,7 +64,7 @@ def check_matching(ir: ProgramIR) -> AnalysisResult:
         by_tag_s = sends.get(pair, {})
         by_tag_r = recvs.get(pair, {})
         any_recvs = by_tag_r.get(ANY_TAG, [])
-        leftover_sends: list[IRSend] = []
+        leftover_sends: list[OpRef] = []
         tags = sorted(set(by_tag_s) | (set(by_tag_r) - {ANY_TAG}))
         n_channels += len(tags)
         for tag in tags:
@@ -77,9 +85,7 @@ def check_matching(ir: ProgramIR) -> AnalysisResult:
                             "channel": {"src": src, "dst": dst, "tag": tag},
                             "sends": len(tag_sends),
                             "recvs": len(tag_recvs),
-                            "ops": [
-                                r.witness() for r in extra[:_WITNESS_CAP]
-                            ],
+                            "ops": witnesses(extra),
                         },
                     )
                 )
@@ -87,20 +93,20 @@ def check_matching(ir: ProgramIR) -> AnalysisResult:
                 leftover_sends.extend(tag_sends[len(tag_recvs):])
         if len(leftover_sends) > len(any_recvs):
             extra_s = leftover_sends[len(any_recvs):]
+            tags_s = sorted({ir.ranks[r][i].tag for r, i in extra_s})
             violations.append(
                 Violation(
                     analysis="matching",
                     kind="orphan-send",
                     message=(
                         f"channel {src}->{dst}: {len(extra_s)} send(s) "
-                        f"never received (tags "
-                        f"{sorted({s.tag for s in extra_s})})"
+                        f"never received (tags {tags_s})"
                     ),
                     witness={
                         "channel": {"src": src, "dst": dst},
                         "unconsumed": len(extra_s),
                         "any_tag_recvs": len(any_recvs),
-                        "ops": [s.witness() for s in extra_s[:_WITNESS_CAP]],
+                        "ops": witnesses(extra_s),
                     },
                 )
             )
@@ -117,7 +123,7 @@ def check_matching(ir: ProgramIR) -> AnalysisResult:
                     witness={
                         "channel": {"src": src, "dst": dst},
                         "unmatched": len(extra_r),
-                        "ops": [r.witness() for r in extra_r[:_WITNESS_CAP]],
+                        "ops": witnesses(extra_r),
                     },
                 )
             )

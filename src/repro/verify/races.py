@@ -1,22 +1,24 @@
-"""Message-race detection via the happens-before relation.
+"""Message-race detection via the neighbor property and happens-before.
 
-Happens-before is the union of program order within a rank and the
-send → matching-recv edges (the matching is taken from the abstract
-execution, which is confluent under eager sends).  The analysis computes a
-vector clock per op, then examines every pair of sends targeting the same
-``(dst, tag)`` channel: if neither send happens-before the other, their
-delivery order at the destination is fixed only by simulator timing — a
-perturbation of clock values (a different machine model, a slightly
-different compute estimate) could reorder them, making any behavior that
-depends on the order nondeterministic.
+Two sends race when they target the same ``(dst, tag)`` channel and
+neither happens-before the other: their delivery order at the destination
+is fixed only by simulator timing — a perturbation of clock values (a
+different machine model, a slightly different compute estimate) could
+reorder them, making any behavior that depends on the order
+nondeterministic.
 
 Two sends from the *same* source are always ordered by program order, so
 races can only involve distinct sources — which is exactly the situation
 the paper's neighbor property rules out for sweep traffic: each
 ``(dst, tag)`` channel of a multipartitioned sweep or stencil exchange has
-a single sender.  A clean race report is therefore the operational face of
-the neighbor theorem; a retargeted or tag-colliding message shows up here
-with both sends as witnesses.
+a single sender.  The analysis therefore groups sends by channel first;
+when every channel has a single sender, that grouping is the proof of race
+freedom, in O(ops).  Only when some channel has sends from two distinct
+ranks does it compute a vector clock per op — happens-before is the union
+of program order within a rank and the send → matching-recv edges of the
+abstract execution, which is confluent under eager sends — and decide each
+distinct-source pair on it.  A retargeted or tag-colliding message shows
+up with both sends as witnesses.
 
 Only runs to completion are analyzed (a stuck program is already reported
 by the deadlock analysis, and its happens-before relation is partial).
@@ -26,8 +28,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.simmpi.message import RecvOp, SendOp
+
 from .abstract import AbstractRun, OpRef
-from .ir import IRRecv, IRSend, ProgramIR
+from .ir import ProgramIR
 from .report import AnalysisResult, Violation
 
 __all__ = ["check_races", "vector_clocks"]
@@ -58,9 +62,9 @@ def vector_clocks(
             vc = current[rank]
             i = pos[rank]
             while i < len(ops):
-                op = ops[i]
+                kind = ops[i].__class__
                 ref = (rank, i)
-                if isinstance(op, IRRecv):
+                if kind is RecvOp:
                     send_ref = recv_to_send.get(ref)
                     if send_ref is not None:
                         send_vc = clocks.get(send_ref)
@@ -74,7 +78,7 @@ def vector_clocks(
                     clocks[ref] = tuple(vc)
                 else:
                     vc[rank] += 1
-                    if isinstance(op, IRSend):
+                    if kind is SendOp:
                         clocks[ref] = tuple(vc)
                 i += 1
             if i != pos[rank]:
@@ -84,10 +88,10 @@ def vector_clocks(
 
 
 def _ordered(
-    a: IRSend, a_vc: tuple[int, ...], b: IRSend, b_vc: tuple[int, ...]
+    a: OpRef, a_vc: tuple[int, ...], b: OpRef, b_vc: tuple[int, ...]
 ) -> bool:
     """True when one send happens-before the other (either direction)."""
-    return b_vc[a.rank] >= a_vc[a.rank] or a_vc[b.rank] >= b_vc[b.rank]
+    return b_vc[a[0]] >= a_vc[a[0]] or a_vc[b[0]] >= b_vc[b[0]]
 
 
 def check_races(ir: ProgramIR, run: AbstractRun) -> AnalysisResult:
@@ -98,37 +102,40 @@ def check_races(ir: ProgramIR, run: AbstractRun) -> AnalysisResult:
             violations=(),
             stats={"checked_pairs": 0, "skipped": "program deadlocks"},
         )
-    clocks = vector_clocks(ir, run)
-    by_channel: dict[tuple[int, int], list[IRSend]] = defaultdict(list)
-    for send in ir.sends():
-        by_channel[(send.dest, send.tag)].append(send)
+    by_channel: dict[tuple[int, int], list[OpRef]] = defaultdict(list)
+    for rank, index, send in ir.sends():
+        by_channel[(send.dest, send.tag)].append((rank, index))
+    # channels with two distinct senders; none is the neighbor property,
+    # and then no clock is built
+    shared = [
+        (channel, refs)
+        for channel, refs in sorted(by_channel.items())
+        if len({rank for rank, _ in refs}) > 1
+    ]
+    clocks = vector_clocks(ir, run) if shared else {}
 
     violations: list[Violation] = []
     checked = 0
-    for (dest, tag), sends in sorted(by_channel.items()):
-        if len(sends) < 2:
-            continue
-        for i, s1 in enumerate(sends):
-            for s2 in sends[i + 1:]:
-                if s1.rank == s2.rank:
+    for (dest, tag), refs in shared:
+        for i, s1 in enumerate(refs):
+            for s2 in refs[i + 1:]:
+                if s1[0] == s2[0]:
                     continue  # program order fixes same-source pairs
                 checked += 1
-                vc1 = clocks[(s1.rank, s1.index)]
-                vc2 = clocks[(s2.rank, s2.index)]
-                if _ordered(s1, vc1, s2, vc2):
+                if _ordered(s1, clocks[s1], s2, clocks[s2]):
                     continue
                 violations.append(
                     Violation(
                         analysis="races",
                         kind="message-race",
                         message=(
-                            f"sends from ranks {s1.rank} and {s2.rank} to "
+                            f"sends from ranks {s1[0]} and {s2[0]} to "
                             f"(dst={dest}, tag={tag}) are concurrent: "
                             f"delivery order is timing-dependent"
                         ),
                         witness={
                             "channel": {"dst": dest, "tag": tag},
-                            "sends": [s1.witness(), s2.witness()],
+                            "sends": [ir.witness(*s1), ir.witness(*s2)],
                         },
                     )
                 )

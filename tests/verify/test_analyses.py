@@ -1,14 +1,19 @@
 """Unit tests of the communication analyses over hand-built IRs."""
 
-from repro.simmpi.message import ANY_TAG
+import pytest
+
+from repro.apps import plan_app
+from repro.simmpi.machine import origin2000
+from repro.simmpi.message import ANY_TAG, Bytes, RecvOp, SendOp
+from repro.sweep.multipart import MultipartExecutor
+from repro.verify import races as races_module
 from repro.verify import (
-    IRRecv,
-    IRSend,
     ProgramIR,
     check_deadlock,
     check_matching,
     check_races,
     execute_abstract,
+    extract_program_ir,
     verify_ir,
 )
 
@@ -17,14 +22,14 @@ def prog(*ranks):
     """Build a ProgramIR from per-rank op specs:
     ("s", dest, tag[, nbytes]) / ("r", source, tag)."""
     built = []
-    for rank, specs in enumerate(ranks):
+    for specs in ranks:
         ops = []
         for spec in specs:
             if spec[0] == "s":
                 nbytes = spec[3] if len(spec) > 3 else 8
-                ops.append(IRSend(rank, len(ops), spec[1], spec[2], nbytes))
+                ops.append(SendOp(spec[1], Bytes(nbytes), spec[2]))
             else:
-                ops.append(IRRecv(rank, len(ops), spec[1], spec[2]))
+                ops.append(RecvOp(spec[1], spec[2]))
         built.append(tuple(ops))
     return ProgramIR(len(built), tuple(built))
 
@@ -188,6 +193,50 @@ class TestRaces:
         result = check_races(ir, execute_abstract(ir))
         assert result.ok
         assert result.stats["skipped"] == "program deadlocks"
+
+
+class TestRacesByNeighborProperty:
+    @pytest.fixture
+    def clock_calls(self, monkeypatch):
+        calls = []
+        real = races_module.vector_clocks
+
+        def spy(ir, run):
+            calls.append(ir)
+            return real(ir, run)
+
+        monkeypatch.setattr(races_module, "vector_clocks", spy)
+        return calls
+
+    @pytest.mark.parametrize("p", [4, 6, 9])
+    def test_clean_compiled_sp_builds_no_clocks(self, clock_calls, p):
+        """Every (dst, tag) channel of a compiled SP program has one
+        sender, so race freedom needs no happens-before relation."""
+        machine = origin2000()
+        config = plan_app(
+            "sp", (8, 8, 8), p, cost_model=machine.to_cost_model()
+        )
+        executor = MultipartExecutor(
+            config.partitioning,
+            config.problem.field_shape,
+            machine,
+            record_events=True,
+            payload="skeleton",
+        )
+        ir = extract_program_ir(executor, config.problem.schedule())
+        *_, races = verify_ir(ir)
+        assert races.ok and races.stats["channels"] > 0
+        assert races.stats["checked_pairs"] == 0
+        assert clock_calls == []
+
+    def test_shared_channel_builds_clocks(self, clock_calls):
+        ir = prog(
+            [("s", 2, 5)],
+            [("s", 2, 5)],
+            [("r", 0, 5), ("r", 1, 5)],
+        )
+        check_races(ir, execute_abstract(ir))
+        assert clock_calls == [ir]
 
 
 class TestVerifyIR:

@@ -1,4 +1,4 @@
-"""IR extraction: soundness against the engine, phase folding, op record."""
+"""IR extraction: soundness against the engine, phase folding, op counts."""
 
 import pytest
 
@@ -15,11 +15,11 @@ from repro.simmpi.message import (
 )
 from repro.simmpi.program import record_ops
 from repro.sweep.multipart import MultipartExecutor
-from repro.verify import IRRecv, IRSend, ProgramIR, extract_program_ir
-from repro.verify.ir import _lower_rank
+from repro.verify import ProgramIR, extract_program_ir
+from repro.verify.ir import fold_phases
 
 
-def skeleton_config(app, shape, p):
+def skeleton_config(app, shape, p, marks=True):
     """(executor, schedule) as ``repro check`` compiles them: phase marks
     on, skeleton payloads, the Origin 2000 machine."""
     machine = origin2000()
@@ -28,7 +28,7 @@ def skeleton_config(app, shape, p):
         config.partitioning,
         config.problem.field_shape,
         machine,
-        record_events=True,
+        record_events=marks,
         payload="skeleton",
     )
     return executor, config.problem.schedule()
@@ -80,18 +80,32 @@ class TestLowerRank:
             MarkOp(PHASE_END + "sweep"),
             ComputeOp(1.0),
         ]
-        ops = _lower_rank(0, raw)
-        assert isinstance(ops[0], IRSend) and ops[0].phase == "sweep/x"
-        assert isinstance(ops[1], IRRecv) and ops[1].phase == "sweep"
-        assert ops[2].phase == ""
+        phases = fold_phases(0, raw)
+        assert len(phases) == len(raw)
+        assert phases[2] == "sweep/x"  # the send
+        assert phases[4] == "sweep"  # the recv
+        assert phases[6] == ""  # the compute
 
     def test_mismatched_phase_end_raises(self):
         with pytest.raises(ValueError, match="does not match"):
-            _lower_rank(0, [MarkOp(PHASE_BEGIN + "a"), MarkOp(PHASE_END + "b")])
+            fold_phases(0, [MarkOp(PHASE_BEGIN + "a"), MarkOp(PHASE_END + "b")])
 
     def test_unclosed_phase_raises(self):
         with pytest.raises(ValueError, match="unclosed"):
-            _lower_rank(0, [MarkOp(PHASE_BEGIN + "a")])
+            fold_phases(0, [MarkOp(PHASE_BEGIN + "a")])
+
+    def test_witness_reads_the_folded_phase(self):
+        raw = (
+            MarkOp(PHASE_BEGIN + "sweep"),
+            SendOp(1, Bytes(8), tag=3),
+            MarkOp(PHASE_END + "sweep"),
+        )
+        ir = ProgramIR(2, (raw, (RecvOp(0, tag=3),)))
+        assert ir.witness(0, 1) == {
+            "kind": "send", "rank": 0, "op_index": 1, "dest": 1, "tag": 3,
+            "nbytes": 8, "phase": "sweep",
+        }
+        assert ir.witness(1, 0)["phase"] == ""
 
 
 class TestExtraction:
@@ -108,13 +122,30 @@ class TestExtraction:
         assert ir.total_send_bytes == run.total_bytes
         # every rank must both compute and communicate in these apps
         for ops in ir.ranks:
-            assert any(isinstance(op, IRSend) for op in ops)
-            assert any(isinstance(op, IRRecv) for op in ops)
+            assert any(isinstance(op, SendOp) for op in ops)
+            assert any(isinstance(op, RecvOp) for op in ops)
+
+    def test_ir_is_the_compiled_program(self):
+        executor, schedule = skeleton_config("sp", (8, 8, 8), 4)
+        ir = extract_program_ir(executor, schedule)
+        assert ir.ranks == executor.compile(schedule).ops
+
+    @pytest.mark.parametrize("app", ["sp", "bt", "adi"])
+    @pytest.mark.parametrize("shape,p", [((8, 8, 8), 4), ((9, 7, 11), 6)])
+    def test_total_ops_excludes_phase_spans(self, app, shape, p):
+        """The published op count is the unmarked program plus one op-label
+        mark per schedule op and rank: phase-span marks do not count."""
+        executor, schedule = skeleton_config(app, shape, p)
+        unmarked, _ = skeleton_config(app, shape, p, marks=False)
+        ir = extract_program_ir(executor, schedule)
+        plain = sum(map(len, unmarked.compile(schedule).ops))
+        assert ir.total_ops == plain + p * len(schedule)
+        assert ir.total_ops < sum(map(len, ir.ranks))
 
     def test_phases_annotated_when_marks_enabled(self):
         executor, schedule = skeleton_config("sp", (8, 8, 8), 4)
         ir = extract_program_ir(executor, schedule)
-        phases = {op.phase for op in ir.sends()}
+        phases = {ir.witness(r, i)["phase"] for r, i, _ in ir.sends()}
         assert phases and all(p for p in phases)
 
     def test_replace_rank_substitutes_one_rank(self):

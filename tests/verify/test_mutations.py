@@ -15,14 +15,9 @@ import pytest
 
 from repro.apps import plan_app
 from repro.simmpi.machine import origin2000
+from repro.simmpi.message import SendOp
 from repro.sweep.multipart import MultipartExecutor
-from repro.verify import (
-    IRRecv,
-    IRSend,
-    check_invariants,
-    extract_program_ir,
-    verify_ir,
-)
+from repro.verify import check_invariants, extract_program_ir, verify_ir
 
 
 @pytest.fixture(scope="module")
@@ -52,14 +47,6 @@ def baseline(config):
     return results
 
 
-def reindex(ops):
-    """Rebuild op ``index`` fields after structural edits (analyses key
-    vector clocks by (rank, index) == tuple position)."""
-    return tuple(
-        dataclasses.replace(op, index=i) for i, op in enumerate(ops)
-    )
-
-
 def all_violations(results):
     return [v for r in results for v in r.violations]
 
@@ -82,33 +69,31 @@ def assert_witnessed(results, analysis, kind):
 class TestDropRecv:
     def test_matching_reports_orphan_send(self, config, baseline):
         ir, _, _ = config
-        rank, ops = next(
-            (r, ops) for r, ops in enumerate(ir.ranks)
-            if any(isinstance(op, IRRecv) for op in ops)
-        )
-        i = next(
-            i for i, op in enumerate(ops) if isinstance(op, IRRecv)
-        )
-        dropped = ops[i]
-        mutated = ir.replace_rank(rank, reindex(ops[:i] + ops[i + 1:]))
+        rank, i, dropped = next(iter(ir.recvs()))
+        ops = ir.ranks[rank]
+        mutated = ir.replace_rank(rank, ops[:i] + ops[i + 1:])
         results = verify_ir(mutated)
         matches = assert_witnessed(results, "matching", "orphan-send")
-        # the witness names the channel whose receive was dropped
-        assert any(
-            v.witness["channel"] == {"src": dropped.source, "dst": rank}
-            for v in matches
-        )
+        # the witness names the channel whose receive was dropped ...
+        hits = [
+            v for v in matches
+            if v.witness["channel"] == {"src": dropped.source, "dst": rank}
+        ]
+        assert hits
+        # ... and points at the unconsumed send by its compiled position
+        for op in hits[0].witness["ops"]:
+            sent = mutated.ranks[op["rank"]][op["op_index"]]
+            assert sent.__class__ is SendOp
+            assert (op["rank"], sent.dest, sent.tag) == (
+                dropped.source, rank, dropped.tag,
+            )
 
 
 class TestSwapTag:
     def test_matching_reports_both_sides(self, config, baseline):
         ir, _, _ = config
-        rank, ops = next(
-            (r, ops) for r, ops in enumerate(ir.ranks)
-            if any(isinstance(op, IRSend) for op in ops)
-        )
-        i = next(i for i, op in enumerate(ops) if isinstance(op, IRSend))
-        original = ops[i]
+        rank, i, original = next(iter(ir.sends()))
+        ops = ir.ranks[rank]
         swapped = dataclasses.replace(original, tag=original.tag + 999_983)
         mutated = ir.replace_rank(rank, ops[:i] + (swapped,) + ops[i + 1:])
         results = verify_ir(mutated)
@@ -117,12 +102,15 @@ class TestSwapTag:
         assert any(
             v.witness["channel"]["tag"] == original.tag for v in missing
         )
-        # ... and the retagged message is never consumed
+        # ... and the retagged message is never consumed; the witness
+        # names it by its position in the compiled program
         orphan = assert_witnessed(results, "matching", "orphan-send")
-        assert any(
-            swapped.tag in [op["tag"] for op in v.witness["ops"]]
+        named = [
+            mutated.ranks[op["rank"]][op["op_index"]]
             for v in orphan
-        )
+            for op in v.witness["ops"]
+        ]
+        assert any(op is swapped for op in named)
         # the starved receive also hangs ranks (as a stall or, when the
         # sweep dependences wrap around, a genuine wait-for cycle)
         deadlocks = [
@@ -138,16 +126,13 @@ class TestSwapTag:
 class TestRetargetDest:
     def test_deadlock_and_matching_localize_it(self, config, baseline):
         ir, _, _ = config
-        send = next(iter(ir.sends()))
+        rank, i, send = next(iter(ir.sends()))
         wrong_dest = next(
-            d for d in range(ir.nprocs) if d not in (send.dest, send.rank)
+            d for d in range(ir.nprocs) if d not in (send.dest, rank)
         )
         retargeted = dataclasses.replace(send, dest=wrong_dest)
-        ops = ir.ranks[send.rank]
-        mutated = ir.replace_rank(
-            send.rank,
-            ops[:send.index] + (retargeted,) + ops[send.index + 1:],
-        )
+        ops = ir.ranks[rank]
+        mutated = ir.replace_rank(rank, ops[:i] + (retargeted,) + ops[i + 1:])
         results = verify_ir(mutated)
         # original receiver starves; the misdirected message is unconsumed
         # (or double-matches the wrong channel)
@@ -168,24 +153,17 @@ class TestInjectedConcurrentSend:
         channel — exactly what the race analysis (and, on valid configs,
         the neighbor theorem) rules out."""
         ir, _, _ = config
-        send = next(iter(ir.sends()))
+        rank, _, send = next(iter(ir.sends()))
         imposter_rank = next(
-            r for r in range(ir.nprocs) if r not in (send.rank, send.dest)
+            r for r in range(ir.nprocs) if r not in (rank, send.dest)
         )
         ops = ir.ranks[imposter_rank]
-        injected = IRSend(
-            imposter_rank, 0, send.dest, send.tag, send.nbytes
-        )
-        mutated = ir.replace_rank(
-            imposter_rank, reindex((injected,) + ops)
-        )
+        mutated = ir.replace_rank(imposter_rank, (send,) + ops)
         results = verify_ir(mutated)
         races = assert_witnessed(results, "races", "message-race")
         witness = races[0].witness
         assert witness["channel"] == {"dst": send.dest, "tag": send.tag}
-        assert {s["rank"] for s in witness["sends"]} == {
-            send.rank, imposter_rank,
-        }
+        assert {s["rank"] for s in witness["sends"]} == {rank, imposter_rank}
 
 
 class TestPermuteMappingRow:
