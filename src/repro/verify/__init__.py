@@ -8,7 +8,7 @@ Public surface:
   by :func:`repro.apps.plan_app` (the runner's ``verify=True`` pre-flight);
 * :func:`verify_ir` — the communication analyses over a
   :class:`ProgramIR`;
-* :func:`extract_program_ir` — an executor's compiled per-rank op tuples
+* :func:`extract_program_ir` — an executor's compiled lockstep program
   as a :class:`ProgramIR`, the same ops the engine replays;
 * :func:`check_invariants` — the paper-invariant proof pass on a concrete
   tile-to-rank assignment;

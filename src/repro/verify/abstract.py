@@ -15,6 +15,9 @@ abstract run decides:
   relation used by the race analysis;
 * the **unmatched sends** left in flight at completion (orphan messages,
   reported by the matching analysis).
+
+A paired compiled program needs no run (``verify_ir`` reads its steps):
+this runs for hand-built, mutated and unpaired IRs, and finds witnesses.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ runs before committing simulator (or cluster) time to a user-submitted
    builder every entry point plans through (so the verifier judges exactly
    the owner table the runner executes);
 2. run the **paper-invariant proof pass** on the concrete assignment;
-3. extract the **rank-program IR** (the compiled op lists, no engine);
+3. extract the **rank-program IR** (the compiled program, no engine);
 4. run **send/recv matching**, **deadlock**, and **message-race** analyses
-   over the IR.
+   over the IR (from the step vectors of a paired program, see
+   :mod:`repro.verify.ir`; one op at a time otherwise).
 
 The result is a ``repro.verify-report.v1`` document; ``ok`` means the
 configuration is structurally sound — every message has exactly one
@@ -28,6 +29,10 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
+from repro.simmpi.message import SendOp
+
 from .abstract import execute_abstract
 from .deadlock import check_deadlock
 from .invariants import check_invariants
@@ -41,11 +46,41 @@ __all__ = ["verify_config", "verify_ir", "verify_planned"]
 
 def verify_ir(ir: ProgramIR) -> tuple[AnalysisResult, ...]:
     """The three communication analyses over one program IR."""
+    if ir.paired and (verdict := _paired_verdict(ir)) is not None:
+        return verdict
     run = execute_abstract(ir)
     return (
         check_matching(ir),
         check_deadlock(ir, run),
         check_races(ir, run),
+    )
+
+
+def _paired_verdict(ir: ProgramIR) -> tuple[AnalysisResult, ...] | None:
+    """The clean verdict of a paired IR with the per-op analyses' stats,
+    or ``None`` when a ``(dst, tag)`` channel has two senders."""
+    assert ir.lockstep is not None
+    sends = [s for s in ir.lockstep.steps if s.kind is SendOp]
+    src = np.tile(np.arange(ir.nprocs), len(sends))
+    dst = np.concatenate([s.peer for s in sends] or [src])
+    tag = np.concatenate([s.tag for s in sends] or [src])
+
+    def distinct(*columns: Any) -> int:
+        rows = np.stack(columns)[:, np.lexsort(columns)]
+        return int(np.diff(rows).any(axis=0).sum()) + bool(rows.shape[1])
+
+    channels = distinct(dst, tag)
+    if distinct(src, dst, tag) != channels:
+        return None
+    return (
+        AnalysisResult("matching", (), {
+            "sends": len(src), "recvs": len(src),
+            "pairs": distinct(src, dst), "channels": channels,
+        }),
+        AnalysisResult("deadlock", (), {"blocked_ranks": 0, "cycles": 0}),
+        AnalysisResult(
+            "races", (), {"channels": channels, "checked_pairs": 0}
+        ),
     )
 
 
@@ -104,6 +139,7 @@ def verify_config(
     """
     from repro.apps import plan_app
     from repro.simmpi.machine import origin2000
+    from repro.sweep.tiles import TileGrid
 
     config: dict[str, Any] = {
         "app": app,
@@ -125,27 +161,19 @@ def verify_config(
             cost_model=machine.to_cost_model(),
             stencil_rhs=stencil_rhs,
         )
+        # an axis cut into more tiles than it has points fails here
+        TileGrid(planned.problem.field_shape, planned.partitioning.gammas)
     except ValueError as exc:
-        # planning itself rejected the configuration — surface it as an
-        # invariant violation rather than a crash, with the planner's reason
+        # the configuration cannot be planned or tiled — surface it as an
+        # invariant violation rather than a crash, with the reason
         from .report import Violation
 
+        violation = Violation(
+            "invariants", "unplannable", str(exc), {"error": str(exc)}
+        )
         return VerifyReport(
             config=config,
-            analyses=(
-                AnalysisResult(
-                    name="invariants",
-                    violations=(
-                        Violation(
-                            analysis="invariants",
-                            kind="unplannable",
-                            message=str(exc),
-                            witness={"error": str(exc)},
-                        ),
-                    ),
-                    stats={},
-                ),
-            ),
+            analyses=(AnalysisResult("invariants", (violation,), {}),),
         )
 
     config["gammas"] = list(planned.partitioning.gammas)

@@ -1,4 +1,4 @@
-"""The rank-program IR: the compiled per-rank op tuples themselves.
+"""The rank-program IR: the compiled lockstep program and its op tuples.
 
 ``ProgramIR.ranks`` is :attr:`repro.sweep.compile.CompiledSchedule.ops`:
 one tuple per rank of the primitive ops of :mod:`repro.simmpi.message`
@@ -9,6 +9,11 @@ coordinates ``(rank, index)``, its position in ``ranks``; phase-span marks
 count as positions like any other op.  Analyses switch on
 ``op.__class__`` and never run an op or touch a payload.
 
+A compiled IR keeps its :class:`~repro.simmpi.engine.Lockstep` and
+derives ``ranks`` only when a per-op analysis asks.  ``verify_ir`` decides
+a :attr:`ProgramIR.paired` program from its send steps (DESIGN.md §8);
+hand-built, mutated and unpaired IRs are analyzed op by op.
+
 The phase an op sits in is not stored per op: :meth:`ProgramIR.witness`
 folds a rank's phase-span marks (:func:`fold_phases`) the first time it
 describes an op of that rank, so a clean verdict never pays for it.
@@ -16,9 +21,9 @@ describes an op of that rank, so a clean verdict never pays for it.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Iterator, Sequence
 
+from repro.simmpi.engine import Lockstep
 from repro.simmpi.message import (
     ANY_TAG,
     PHASE_BEGIN,
@@ -61,21 +66,46 @@ def fold_phases(rank: int, ops: Sequence[Any]) -> tuple[str, ...]:
     return tuple(paths)
 
 
-@dataclasses.dataclass(frozen=True)
-class ProgramIR:
-    """The complete program: one op tuple per rank."""
-
-    nprocs: int
-    ranks: tuple[tuple[Any, ...], ...]
-    _phases: dict[int, tuple[str, ...]] = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False
+def _counted(op: Any) -> bool:
+    """Whether ``op`` counts in ``total_ops``: it is no phase-span mark."""
+    return op.__class__ is not MarkOp or not op.label.startswith(
+        _SPAN_PREFIXES
     )
 
-    def __post_init__(self) -> None:
-        if len(self.ranks) != self.nprocs:
+
+class ProgramIR:
+    """The complete program: one op tuple per rank, or the lockstep
+    program they are derived from."""
+
+    def __init__(
+        self,
+        nprocs: int,
+        ranks: Sequence[tuple[Any, ...]] | None = None,
+        lockstep: Lockstep | None = None,
+    ) -> None:
+        self.nprocs = nprocs
+        self.lockstep = lockstep
+        self._ranks = None if ranks is None else tuple(ranks)
+        if self._ranks is not None and len(self._ranks) != nprocs:
             raise ValueError(
-                f"expected {self.nprocs} rank op lists, got {len(self.ranks)}"
+                f"expected {nprocs} rank op lists, got {len(self._ranks)}"
             )
+        self._phases: dict[int, tuple[str, ...]] = {}
+
+    @property
+    def ranks(self) -> tuple[tuple[Any, ...], ...]:
+        if self._ranks is None:
+            assert self.lockstep is not None
+            self._ranks = self.lockstep.rank_ops()
+        return self._ranks
+
+    @property
+    def paired(self) -> bool:
+        """A paired lockstep program with no ``ANY_TAG`` receive."""
+        return self.lockstep is not None and self.lockstep.paired and not any(
+            step.kind is RecvOp and (step.tag == ANY_TAG).any()
+            for step in self.lockstep.steps
+        )
 
     def sends(self) -> Iterator[tuple[int, int, SendOp]]:
         """Every send as ``(rank, index, op)``, in rank then program order."""
@@ -94,30 +124,33 @@ class ProgramIR:
     @property
     def total_ops(self) -> int:
         """Every op except phase-span marks."""
-        return sum(
-            1
-            for ops in self.ranks
-            for op in ops
-            if op.__class__ is not MarkOp
-            or not op.label.startswith(_SPAN_PREFIXES)
-        )
+        if self.lockstep is None:
+            return sum(_counted(op) for ops in self.ranks for op in ops)
+        steps = self.lockstep.steps
+        counted = sum(s.kind is not MarkOp or _counted(s.mark) for s in steps)
+        return self.nprocs * counted
 
     @property
     def total_sends(self) -> int:
-        return sum(1 for _ in self.sends())
+        if self.lockstep is None:
+            return sum(1 for _ in self.sends())
+        return self.nprocs * sum(s.kind is SendOp for s in self.lockstep.steps)
 
     @property
     def total_send_bytes(self) -> int:
-        return sum(payload_nbytes(op.payload) for _, _, op in self.sends())
+        if self.lockstep is None:
+            return sum(payload_nbytes(op.payload) for _, _, op in self.sends())
+        steps = self.lockstep.steps
+        return sum(int(s.nbytes.sum()) for s in steps if s.kind is SendOp)
 
     def replace_rank(
         self, rank: int, ops: tuple[Any, ...]
     ) -> "ProgramIR":
-        """A copy with one rank's op sequence substituted — the mutation
-        hook the self-test harness uses."""
+        """A per-op copy with one rank's op sequence substituted — the
+        mutation hook the self-test harness uses."""
         ranks = list(self.ranks)
         ranks[rank] = tuple(ops)
-        return ProgramIR(self.nprocs, tuple(ranks))
+        return ProgramIR(self.nprocs, ranks)
 
     def witness(self, rank: int, index: int) -> dict[str, Any]:
         """The JSON description of the send or receive at ``(rank,
@@ -150,10 +183,10 @@ def extract_program_ir(executor: Any, schedule: Any) -> ProgramIR:
     """The :class:`ProgramIR` of ``schedule`` on ``executor``.
 
     ``executor`` is a :class:`repro.sweep.multipart.MultipartExecutor`;
-    the IR is its compiled per-rank op tuples, with no per-op work.  Phase
+    the IR keeps its compiled lockstep program, with no per-op work.  Phase
     marks are only compiled when the executor was constructed with mark
     emission enabled (``record_events=True`` or any sink attached);
     witness phases are empty strings otherwise.
     """
     compiled = executor.compile(schedule)
-    return ProgramIR(compiled.nprocs, compiled.ops)
+    return ProgramIR(compiled.nprocs, lockstep=compiled.lockstep)

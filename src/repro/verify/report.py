@@ -46,12 +46,7 @@ class Violation:
     witness: dict[str, Any]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "analysis": self.analysis,
-            "kind": self.kind,
-            "message": self.message,
-            "witness": self.witness,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -39,6 +41,22 @@ class TestCheckCommand:
         )
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("argv", [
+        ["--app", "sp", "--shape", "102x102x102", "-p", "997"],
+        ["--shape", "8x8x8", "-p", "81"],
+    ])
+    def test_untileable_config_is_a_violation(self, capsys, argv):
+        """The plan cuts an axis into more tiles than it has points: an
+        invariants violation with a valid report, not a traceback."""
+        code = main(["check", *argv, "--json"])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False
+        (violation,) = doc["analyses"]["invariants"]["violations"]
+        assert violation["kind"] == "unplannable"
+        assert "non-empty tiles" in violation["message"]
 
 
 class TestSweepVerifyFlag:
