@@ -6,7 +6,8 @@ Wraps an owner table (any int array over the tile grid, usually produced by
 dHPF-lite communication planner ask of it:
 
 * the neighbor successor tables per signed direction (the neighbor property
-  guarantees these are single-valued), kept from validation;
+  guarantees these are single-valued), kept from validation, which is one
+  :func:`repro.core.properties.certified_tables` scan;
 * per-rank tile lists, computed on first use from one stable sort of the
   owner table (plan-only callers never pay for them).
 """
@@ -50,12 +51,12 @@ class Multipartitioning:
             raise ValueError("multipartitioning needs a >= 2-D tile grid")
         if self.nprocs < 1:
             raise ValueError("nprocs must be >= 1")
-        if not properties.is_equally_many_to_one(owner, self.nprocs):
-            raise ValueError("owner table is not equally-many-to-one")
-        if not properties.has_balance_property(owner, self.nprocs):
-            raise ValueError("owner table violates the balance property")
-        nbr = properties.neighbor_table(owner, periodic=False)
-        if nbr is None:
+        nbr = properties.certified_tables(owner, self.nprocs)
+        if nbr is None:  # name the first property that fails
+            if not properties.is_equally_many_to_one(owner, self.nprocs):
+                raise ValueError("owner table is not equally-many-to-one")
+            if not properties.has_balance_property(owner, self.nprocs):
+                raise ValueError("owner table violates the balance property")
             raise ValueError("owner table violates the neighbor property")
         object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "_neighbors", nbr)

@@ -163,15 +163,21 @@ class ModularMapping:
         if len(b) != self.dims_in:
             raise ValueError("grid rank must match mapping input dimension")
         # one open (broadcastable) coordinate vector per axis instead of the
-        # d x ntiles index array: row i of M x is a sum of broadcast terms
+        # d x ntiles index array: digit i folds in the residues x_j M[i, j]
+        # mod m_i axis by axis, kept below m_i by a conditional subtraction
         axes = np.ix_(*(np.arange(n, dtype=np.int64) for n in b))
-        ranks = np.zeros(b, dtype=np.int64)
-        for row, mi in zip(self.matrix, self.moduli):
+        point = (1,) * len(b)
+        ranks = np.zeros(point, dtype=np.int64)
+        for row, mi in zip(self.matrix.tolist(), self.moduli):
             if mi == 1:
                 continue  # contributes digit 0 with weight 1
-            image = sum(int(c) * x for c, x in zip(row, axes) if c)
-            ranks = ranks * mi + np.asarray(image) % mi
-        return ranks
+            digit = np.zeros(point, dtype=np.int64)
+            for c, x in zip(row, axes):
+                if c % mi:
+                    digit = digit + x * (c % mi) % mi
+                    np.subtract(digit, mi, out=digit, where=digit >= mi)
+            ranks = ranks * mi + digit
+        return ranks if ranks.shape == b else np.broadcast_to(ranks, b).copy()
 
     def tiles_of_rank(
         self, rank: int, b: Sequence[int]
@@ -244,26 +250,13 @@ class ModularMapping:
         the ``repro.verify-report.v1`` document."""
         from . import properties
 
-        b = tuple(int(x) for x in b)
-        grid = self.rank_grid(b)
-        validity = properties.validity_certificate(b, self.nprocs)
-        balance = properties.balance_certificate(grid, self.nprocs)
-        neighbor = properties.neighbor_certificate(grid)
-        equal = properties.is_equally_many_to_one(grid, self.nprocs)
-        return {
-            "schema": "repro.mapping-certificate.v1",
-            "p": self.nprocs,
-            "gammas": list(b),
-            "matrix": [[int(v) for v in row] for row in self.matrix],
-            "moduli": list(self.moduli),
-            "equally_many_to_one": equal,
-            "validity": validity,
-            "balance": balance,
-            "neighbor": neighbor,
-            "ok": bool(
-                equal and validity["ok"] and balance["ok"] and neighbor["ok"]
-            ),
-        }
+        cert = properties.mapping_certificate(self.rank_grid(b), self.nprocs)
+        cert["matrix"] = [[int(v) for v in row] for row in self.matrix]
+        cert["moduli"] = list(self.moduli)
+        cert["ok"] = cert["equally_many_to_one"] and all(
+            cert[key]["ok"] for key in ("validity", "balance", "neighbor")
+        )
+        return cert
 
     def neighbor_shift(self, axis: int, step: int = 1) -> tuple[int, ...]:
         """Constant processor-grid displacement between a tile's owner and

@@ -812,25 +812,27 @@ class Lockstep:
         """Whether each receive step's ``match`` is an earlier send step
         whose message from ``peer[r]`` goes to ``r`` with the receive's
         tag, every send step matched once and in step order, so no two
-        messages on one channel can swap."""
-        ranks = np.arange(self.nprocs)
-        matched = []
-        for index, step in enumerate(self.steps):
-            if step.kind is RecvOp:
-                if not 0 <= step.match < index:
-                    return False
-                send, source = self.steps[step.match], step.peer
-                if not (
-                    send.kind is SendOp and 0 <= source.min()
-                    and source.max() < self.nprocs
-                    and np.array_equal(send.peer[source], ranks)
-                    and np.array_equal(send.tag[source], step.tag)
-                ):
-                    return False
-                matched.append(step.match)
-        return matched == [
-            i for i, step in enumerate(self.steps) if step.kind is SendOp
-        ]
+        messages on one channel can swap: the k-th receive step matches
+        the k-th send step, all checked by one stacked comparison."""
+        steps = self.steps
+        sends = [i for i, step in enumerate(steps) if step.kind is SendOp]
+        recvs = [i for i, step in enumerate(steps) if step.kind is RecvOp]
+        if [steps[i].match for i in recvs] != sends or any(
+            s >= r for s, r in zip(sends, recvs)
+        ):
+            return False
+        if not recvs:
+            return True
+        source = np.stack([steps[i].peer for i in recvs])
+        if source.min() < 0 or source.max() >= self.nprocs:
+            return False
+        row = np.arange(len(recvs))[:, None]
+        peer = np.stack([steps[i].peer for i in sends])[row, source]
+        tag = np.stack([steps[i].tag for i in sends])[row, source]
+        return bool(
+            (peer == np.arange(self.nprocs)).all()
+            and (tag == np.stack([steps[i].tag for i in recvs])).all()
+        )
 
     def rank_ops(self) -> tuple[tuple, ...]:
         """Every rank's op tuple."""

@@ -54,10 +54,13 @@ def check_invariants(
     nprocs = int(p)
     gammas = tuple(int(g) for g in owner.shape)
 
-    validity = properties.validity_certificate(gammas, nprocs)
-    equal = properties.is_equally_many_to_one(owner, nprocs)
-    balance = properties.balance_certificate(owner, nprocs)
-    neighbor = properties.neighbor_certificate(owner)
+    certificate: dict[str, Any] = properties.mapping_certificate(
+        owner, nprocs
+    )
+    equal = certificate["equally_many_to_one"]
+    validity, balance, neighbor = (
+        certificate[key] for key in ("validity", "balance", "neighbor")
+    )
 
     violations: list[Violation] = []
     if not validity["ok"]:
@@ -111,15 +114,6 @@ def check_invariants(
             )
         )
 
-    certificate: dict[str, Any] = {
-        "schema": "repro.mapping-certificate.v1",
-        "p": nprocs,
-        "gammas": list(gammas),
-        "equally_many_to_one": equal,
-        "validity": validity,
-        "balance": balance,
-        "neighbor": neighbor,
-    }
     consistent = None
     if mapping is not None:
         generated = mapping.rank_grid(gammas)

@@ -224,6 +224,44 @@ class TestSymmetricCoefficients:
             assert (np.abs(sym[i]) <= mi // 2 + (mi % 2)).all()
 
 
+def reference_rank_grid(mm, b):
+    """The full-size broadcast sum and ``%`` per row that
+    ``ModularMapping.rank_grid``'s per-axis fold replaced."""
+    axes = np.ix_(*(np.arange(n, dtype=np.int64) for n in b))
+    ranks = np.zeros(b, dtype=np.int64)
+    for row, mi in zip(mm.matrix, mm.moduli):
+        if mi == 1:
+            continue
+        image = sum(int(c) * x for c, x in zip(row, axes) if c)
+        ranks = ranks * mi + np.asarray(image) % mi
+    return ranks
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_rank_grid_equals_full_size_reference(data):
+    """Bit-identical (and an int64, C-contiguous, writable array) for the
+    construction's matrix, its symmetric form and arbitrary integer
+    matrices, including rows touching only some axes."""
+    d = data.draw(st.integers(2, 4))
+    p = data.draw(st.sampled_from([1, 2, 4, 6, 8, 12, 16, 30]))
+    b = list(data.draw(st.sampled_from(list(elementary_partitionings(p, d)))))
+    b[data.draw(st.integers(0, d - 1))] *= data.draw(st.integers(1, 3))
+    b = tuple(b)
+    mm = build_modular_mapping(b, p)
+    matrix = data.draw(st.sampled_from([
+        mm.matrix, mm.symmetric_matrix(),
+        np.array(data.draw(st.lists(
+            st.integers(-40, 40), min_size=d * d, max_size=d * d
+        ))).reshape(d, d),
+    ]))
+    mapping = ModularMapping(matrix=matrix, moduli=mm.moduli)
+    grid = mapping.rank_grid(b)
+    assert grid.dtype == np.int64 and grid.shape == b
+    assert grid.flags.c_contiguous and grid.flags.writeable
+    assert np.array_equal(grid, reference_rank_grid(mapping, b))
+
+
 class TestScale:
     """The search and construction must stay fast at realistic scale
     ('up to 1000 for example,' Section 3.3)."""

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import plan_app
@@ -185,6 +185,76 @@ def _compute(seconds):
     return Step(ComputeOp, seconds=np.array(seconds), points=np.array([1, 2]))
 
 
+def loop_paired(program):
+    """The per-receive loop ``Lockstep.paired`` replaced, kept as the
+    reference its stacked comparison must agree with."""
+    ranks = np.arange(program.nprocs)
+    matched = []
+    for index, step in enumerate(program.steps):
+        if step.kind is RecvOp:
+            if not 0 <= step.match < index:
+                return False
+            send, source = program.steps[step.match], step.peer
+            if not (
+                send.kind is SendOp and 0 <= source.min()
+                and source.max() < program.nprocs
+                and np.array_equal(send.peer[source], ranks)
+                and np.array_equal(send.tag[source], step.tag)
+            ):
+                return False
+            matched.append(step.match)
+    return matched == [
+        i for i, step in enumerate(program.steps) if step.kind is SendOp
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    app=st.sampled_from(["sp", "bt", "adi"]),
+    p=st.sampled_from([2, 3, 4, 6, 8, 9]),
+    aggregate=st.booleans(),
+    corrupt=st.sampled_from(
+        ["none", "peer", "tag", "source", "match", "drop"]
+    ),
+    data=st.data(),
+)
+def test_pairing_equals_per_receive_loop(app, p, aggregate, corrupt, data):
+    """A compiled program, clean or with one step corrupted, is paired
+    exactly when the per-receive loop says so."""
+    config = plan_app(app, (8, 8, 8), p)
+    steps = list(MultipartExecutor(
+        config.partitioning, config.problem.field_shape, origin2000(),
+        aggregate=aggregate, payload="skeleton",
+    ).compile(config.problem.schedule()).lockstep.steps)
+    kind = {"peer": SendOp, "tag": SendOp}.get(corrupt, RecvOp)
+    at = data.draw(st.sampled_from(
+        [i for i, step in enumerate(steps) if step.kind is kind]
+    ))
+    rank = data.draw(st.integers(0, p - 1))
+    step = steps[at]
+    if corrupt == "peer":
+        peer = step.peer.copy()
+        peer[rank] = data.draw(st.integers(0, p))
+        steps[at] = step._replace(peer=peer)
+    elif corrupt == "tag":
+        tag = step.tag.copy()
+        tag[rank] += data.draw(st.integers(0, 1))
+        steps[at] = step._replace(tag=tag)
+    elif corrupt == "source":
+        source = step.peer.copy()
+        source[rank] = data.draw(st.integers(-1, p))
+        steps[at] = step._replace(peer=source)
+    elif corrupt == "match":
+        steps[at] = step._replace(
+            match=data.draw(st.integers(-1, len(steps)))
+        )
+    elif corrupt == "drop":
+        del steps[data.draw(st.integers(0, len(steps) - 1))]
+    program = Lockstep(tuple(steps), p)
+    assert program.paired is loop_paired(program)
+    event(f"{corrupt}: {'paired' if program.paired else 'unpaired'}")
+
+
 class TestLockstepPairing:
     """Only a program whose compile-time pairing is the FIFO matching is
     replayed in lockstep; any other is left to the engine."""
@@ -204,7 +274,7 @@ class TestLockstepPairing:
     ], ids=["ring", "two", "crossed", "tag", "unmatched", "unreceived"])
     def test_pairing_decides_the_replay(self, steps, paired):
         program = Lockstep(tuple(steps), 2)
-        assert program.paired is paired
+        assert program.paired is paired is loop_paired(program)
         machine = _machine("torus", 2)
         engine = _engine_replay(machine, program.rank_ops())
         if paired:
