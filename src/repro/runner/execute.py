@@ -115,12 +115,23 @@ def run_spec(spec: ExperimentSpec, verify: bool = False) -> dict:
         cost_model=resolve_cost_model(spec),
         objective=spec.objective,
     )
+    field_shape = config.problem.field_shape
+    if verify or spec.mode != "plan":
+        from repro.sweep.multipart import MultipartExecutor
+
+        # one executor compiles the schedule once: the pre-flight verifies
+        # the program the run then executes (plan mode has no faults)
+        schedule = config.problem.schedule()
+        fault_plan, protocol = resolve_faults(spec)
+        executor = MultipartExecutor(
+            config.partitioning, field_shape, resolve_machine(spec),
+            payload="data" if spec.mode == "simulated" else "skeleton",
+            faults=fault_plan, protocol=protocol,
+        )
     if verify:
         from repro.verify import VerifyReport, verify_planned
 
-        analyses, certificate, _ = verify_planned(
-            config, resolve_machine(spec)
-        )
+        analyses, certificate, _ = verify_planned(config, executor, schedule)
         report = VerifyReport(
             config={"spec": spec.to_canonical()},
             analyses=analyses,
@@ -148,21 +159,12 @@ def run_spec(spec: ExperimentSpec, verify: bool = False) -> dict:
     if spec.mode == "plan":
         return result
 
-    from repro.sweep.sequential import sequential_time
-
-    machine = resolve_machine(spec)
-    problem = config.problem
-    field_shape = problem.field_shape
-    partitioning = config.partitioning
-    schedule = problem.schedule()
-    t_seq = sequential_time(field_shape, schedule, machine)
-    result["sequential_time"] = float(t_seq)
-
     from repro.faults.protocol import ProtocolExhaustedError
     from repro.simmpi.summary import RunSummary
-    from repro.sweep.multipart import MultipartExecutor
+    from repro.sweep.sequential import sequential_time
 
-    fault_plan, protocol = resolve_faults(spec)
+    t_seq = sequential_time(field_shape, schedule, executor.machine)
+    result["sequential_time"] = float(t_seq)
     if fault_plan is not None:
         result["fault_plan"] = fault_plan.to_canonical()
         result["fault_plan_hash"] = fault_plan.plan_hash()
@@ -170,10 +172,6 @@ def run_spec(spec: ExperimentSpec, verify: bool = False) -> dict:
     if spec.mode == "skeleton":
         # payload-free replay: same timing/comm story as simulated mode
         # (pinned by the equivalence tests), no data to verify
-        executor = MultipartExecutor(
-            partitioning, field_shape, machine, payload="skeleton",
-            faults=fault_plan, protocol=protocol,
-        )
         try:
             run_result = executor.run_skeleton(schedule)
         except ProtocolExhaustedError as exc:
@@ -194,10 +192,6 @@ def run_spec(spec: ExperimentSpec, verify: bool = False) -> dict:
     from repro.sweep.sequential import run_sequential
 
     field = random_field(field_shape, seed=spec.seed)
-    executor = MultipartExecutor(
-        partitioning, field_shape, machine,
-        faults=fault_plan, protocol=protocol,
-    )
     try:
         out, run_result = executor.run(field, schedule)
     except ProtocolExhaustedError as exc:

@@ -71,10 +71,11 @@ interleaving.
 That argument needs a non-bus network (the shared ``_bus_free_at`` depends
 on the global send order), no fault injection, no wildcard, timed or
 cancellable receives (a :class:`Step` has no field for a timeout or a
-cancel, and the compiler emits no wildcard), and no marks
-(compiled only for observers).  :func:`replay_lockstep` raises
-``ValueError`` on an unpaired program and ``TypeError`` on a mark step
-instead of approximating.  The machine's timing functions are called once
+cancel, and the compiler emits no wildcard), and no observer (marks live
+only in the compiled schedule's marked view, which observed runs replay
+through the engine).  :func:`replay_lockstep` raises ``ValueError`` on an
+unpaired program and ``TypeError`` on a step of any other kind instead of
+approximating.  The machine's timing functions are called once
 per distinct message size (per ``(src, dst, nbytes)`` with a topology),
 and ``compute_seconds`` is a Python ``sum`` in rank order, never a
 pairwise ``np.sum``.
@@ -781,21 +782,21 @@ class Step(NamedTuple):
     """One op index of a :class:`Lockstep` program: the op kind every rank
     runs there, with its operands as vectors over ranks."""
 
-    kind: type  # SendOp, RecvOp, ComputeOp or MarkOp
+    kind: type  # SendOp, RecvOp or ComputeOp
     peer: Any = None  # int[p]: a send's dest, a receive's source
     tag: Any = None  # int[p]
     nbytes: Any = None  # int[p]: a send's payload size
     seconds: Any = None  # float[p]: a compute charge
     points: Any = None  # int[p]: the points it covers
     match: int = -1  # a receive's matched send step
-    mark: MarkOp | None = None
     site: Any = None  # the producer's annotation; never read here
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Lockstep:
     """Per-rank programs that run the same op kinds in the same order,
-    stored as one :class:`Step` per op index."""
+    stored as one :class:`Step` per op index.  There are no mark steps:
+    observers read :attr:`repro.sweep.compile.CompiledSchedule.marked`."""
 
     steps: tuple[Step, ...]
     nprocs: int
@@ -838,9 +839,7 @@ class Lockstep:
         """Every rank's op tuple."""
         columns: list = []
         for step in self.steps:
-            if step.kind is MarkOp:
-                columns.append((step.mark,) * self.nprocs)
-            elif step.kind is ComputeOp:
+            if step.kind is ComputeOp:
                 columns.append(map(
                     ComputeOp, step.seconds.tolist(), step.points.tolist()
                 ))

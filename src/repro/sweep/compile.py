@@ -20,17 +20,23 @@ and the index of the matched send.  Each rank's tuple of primitive ops
 entries (the schedule op an entry comes from and the tiles it covers) are
 derived from it on first use.
 
+The program is the same whoever watches it.  The op-label and phase-span
+marks that traces and the verifier's witnesses read are a fold over it
+(:attr:`CompiledSchedule.marked`): each step's site names its schedule op
+and sweep phase, and each schedule op its ``phase`` and ``label()``.
+
 Everything that needs a multipartitioned schedule's behaviour reads the
 compiled program:
 
 * skeleton mode times the lockstep program with
   :func:`repro.simmpi.engine.replay_lockstep`, or the per-rank ops through
   the engine when faults, the reliable protocol, observers, a bus network
-  or an unpaired program are involved;
+  or an unpaired program are involved (observed runs replay the marked
+  view);
 * real-data mode interprets the per-rank ops, running the numpy kernels at
   compute entries and packing payloads at sends;
-* the static verifier analyzes the per-rank ops themselves as its IR
-  (:mod:`repro.verify.ir`);
+* the static verifier decides a paired program from its steps and
+  analyzes the marked view op by op otherwise (:mod:`repro.verify.ir`);
 * :mod:`repro.hpf.commsched` folds the sends into message plans.
 """
 
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from math import prod
 from typing import Any, Iterator, NamedTuple, Sequence
 
@@ -99,9 +106,9 @@ class Site(NamedTuple):
 class CompiledSchedule:
     """One schedule compiled for every rank at once.
 
-    ``lockstep`` is the program itself.  Each rank's op tuple (``ops``)
-    and the parallel tuple of sites (``sites``, ``None`` for marks) are
-    derived from it on first use."""
+    ``lockstep`` is the program itself.  Each rank's op tuple (``ops``),
+    the parallel tuple of sites (``sites``) and the marked view an
+    observer reads (``marked``) are derived from it on first use."""
 
     schedule: tuple
     lockstep: Lockstep
@@ -115,16 +122,57 @@ class CompiledSchedule:
         return self.lockstep.rank_ops()
 
     @functools.cached_property
-    def sites(self) -> tuple[tuple[Site | None, ...], ...]:
+    def sites(self) -> tuple[tuple[Site, ...], ...]:
         # a step's site is ``(op_index, phase, tiles)``, ``tiles()`` giving
         # every rank's tiles; steps sharing a site share its Site objects
-        made: dict = {None: (None,) * self.nprocs}
+        made: dict = {}
         for step in self.lockstep.steps:
             if step.site not in made:
                 index, phase, tiles = step.site
                 made[step.site] = [Site(index, t, phase) for t in tiles()]
         columns = [made[step.site] for step in self.lockstep.steps]
         return tuple(zip(*columns)) if columns else ((),) * self.nprocs
+
+    @functools.cached_property
+    def marked(self) -> tuple[tuple[tuple, tuple], ...]:
+        """Each rank's ``(ops, sites)`` with marks interleaved (``None``
+        sites): before each schedule op its phase-span transitions and an
+        ``op{index}:{label}`` mark, around each sweep phase ``k`` a nested
+        ``p{k}`` span (every rank takes part in every one, balance
+        property).  Consecutive ops sharing a phase annotation share one
+        span (e.g. the four sweeps of SP's x_solve)."""
+        steps = self.lockstep.steps
+        slots: list = []  # marks and step indices, the same for every rank
+        open_phase = last = None
+        for (index, k), group in itertools.groupby(
+            range(len(steps)), key=lambda i: steps[i].site[:2]
+        ):
+            op = self.schedule[index]
+            if index != last:
+                if op.phase != open_phase:
+                    if open_phase is not None:
+                        slots.append(MarkOp(PHASE_END + open_phase))
+                    if op.phase is not None:
+                        label = _check_phase_label(op.phase)
+                        slots.append(MarkOp(PHASE_BEGIN + label))
+                    open_phase = op.phase
+                slots.append(MarkOp(f"op{index}:{op.label()}"))
+                last = index
+            if isinstance(op, (SweepOp, BlockSweepOp)):
+                slots += [MarkOp(f"{PHASE_BEGIN}p{k}"), *group,
+                          MarkOp(f"{PHASE_END}p{k}")]
+            else:
+                slots += group
+        if open_phase is not None:
+            slots.append(MarkOp(PHASE_END + open_phase))
+        return tuple(
+            (
+                tuple(s if s.__class__ is MarkOp else ops[s] for s in slots),
+                tuple(None if s.__class__ is MarkOp else sites[s]
+                      for s in slots),
+            )
+            for ops, sites in zip(self.ops, self.sites)
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompiledSchedule):
@@ -148,17 +196,6 @@ def neighbor_tile(
 ) -> tuple[int, ...]:
     """The tile ``step`` positions from ``tile`` along ``axis``."""
     return tile[:axis] + (tile[axis] + step,) + tile[axis + 1:]
-
-
-class _Marks(NamedTuple):
-    """Marks shared by every rank's program."""
-
-    #: per schedule op: the phase-span transitions and the op label before it
-    heads: list[tuple[MarkOp, ...]]
-    #: closes the last open phase span
-    tail: tuple[MarkOp, ...]
-    #: per sweep phase ``k``: the begin/end marks of its ``p{k}`` span
-    spans: list[tuple[MarkOp, MarkOp]]
 
 
 class _Geometry:
@@ -254,9 +291,9 @@ class ScheduleCompiler:
     program over every rank.
 
     ``aggregate=False`` sends one message per tile boundary instead of one
-    vectorized message per phase (the ablation of the optimization);
-    ``marks=True`` adds the op-label and phase-span marks that traces and
-    the verifier's phase attribution read.
+    vectorized message per phase (the ablation of the optimization).  The
+    program does not depend on who observes it: traces and the verifier
+    read its marked view (:attr:`CompiledSchedule.marked`).
     """
 
     def __init__(
@@ -265,83 +302,47 @@ class ScheduleCompiler:
         shape: Sequence[int],
         machine: MachineModel,
         aggregate: bool = True,
-        marks: bool = False,
     ):
         self.partitioning = partitioning
         self.grid = TileGrid(tuple(shape), partitioning.gammas)
         self.machine = machine
         self.aggregate = aggregate
-        self.marks = marks
         self._geo = _Geometry(partitioning, self.grid)
         self._last: CompiledSchedule | None = None
 
     def compile(self, schedule) -> CompiledSchedule:
-        """Every rank's program for ``schedule``."""
+        """Every rank's program for ``schedule``; consecutive calls with the
+        same schedule ops share one compile (ops are matched by identity:
+        their coefficient arrays have no truth value)."""
         schedule = tuple(schedule)
-        marks = self._marks(schedule)
+        last = self._last
+        if last is None or len(last.schedule) != len(schedule) or any(
+            a is not b for a, b in zip(last.schedule, schedule)
+        ):
+            self._last = last = self._lower(schedule)
+        return last
+
+    def compile_rank(self, rank: int, schedule) -> tuple[tuple, tuple]:
+        """One rank's ``(ops, sites)`` for ``schedule``."""
+        compiled = self.compile(schedule)
+        return compiled.ops[rank], compiled.sites[rank]
+
+    # -- lowering -------------------------------------------------------------
+
+    def _lower(self, schedule: tuple) -> CompiledSchedule:
         steps: list[Step] = []
         for index, op in enumerate(schedule):
-            if marks is not None:
-                steps += [Step(MarkOp, mark=m) for m in marks.heads[index]]
             if isinstance(op, (SweepOp, BlockSweepOp)):
-                self._sweep(index, op, marks, steps)
+                self._sweep(index, op, steps)
             elif isinstance(op, StencilOp):
                 self._stencil(index, op, steps)
             elif isinstance(op, (BinaryPointwiseOp, CopyOp, PointwiseOp)):
                 steps.append(self._whole(index, op))
             else:
                 raise TypeError(f"unsupported op {op!r}")
-        if marks is not None:
-            steps += [Step(MarkOp, mark=m) for m in marks.tail]
         return CompiledSchedule(
             schedule, Lockstep(tuple(steps), self.partitioning.nprocs)
         )
-
-    def compile_rank(self, rank: int, schedule) -> tuple[tuple, tuple]:
-        """One rank's ``(ops, sites)`` for ``schedule``; consecutive calls
-        with the same schedule ops share one compile (ops are matched by
-        identity: their coefficient arrays have no truth value)."""
-        schedule = tuple(schedule)
-        last = self._last
-        if last is None or len(last.schedule) != len(schedule) or any(
-            a is not b for a, b in zip(last.schedule, schedule)
-        ):
-            self._last = last = self.compile(schedule)
-        return last.ops[rank], last.sites[rank]
-
-    # -- lowering -------------------------------------------------------------
-
-    def _marks(self, schedule: tuple) -> _Marks | None:
-        """The schedule's marks, or ``None`` when marks are off."""
-        if not self.marks:
-            return None
-        heads = []
-        open_phase = None
-        for index, op in enumerate(schedule):
-            head = []
-            # consecutive ops sharing a phase annotation share one span
-            # (e.g. the four sweeps of SP's x_solve)
-            phase = getattr(op, "phase", None)
-            if phase != open_phase:
-                if open_phase is not None:
-                    head.append(MarkOp(PHASE_END + open_phase))
-                if phase is not None:
-                    label = _check_phase_label(phase)
-                    head.append(MarkOp(PHASE_BEGIN + label))
-                open_phase = phase
-            head.append(MarkOp(f"op{index}:{op.label()}"))
-            heads.append(tuple(head))
-        tail = (
-            (MarkOp(PHASE_END + open_phase),) if open_phase is not None
-            else ()
-        )
-        # nested span per sweep phase ("x_solve/p2"): every rank
-        # participates in every one (balance property)
-        spans = [
-            (MarkOp(f"{PHASE_BEGIN}p{k}"), MarkOp(f"{PHASE_END}p{k}"))
-            for k in range(max(self.partitioning.gammas))
-        ]
-        return _Marks(heads, tail, spans)
 
     def _charge(self, points: np.ndarray, flops: float, tiles: int):
         """``machine.compute_time`` over an array of point counts, called
@@ -364,7 +365,7 @@ class ScheduleCompiler:
             site=(index, 0, self._geo.tiles),
         )
 
-    def _sweep(self, index, op, marks, steps):
+    def _sweep(self, index, op, steps):
         """Slab by slab in sweep order: receive the carries of the slab's
         tiles, scan them, forward their boundary planes downstream.  The
         neighbor property sends all of a phase's carries to one rank, so
@@ -399,8 +400,6 @@ class ScheduleCompiler:
         for phase in range(gamma):
             slab = gamma - 1 - phase if op.reverse else phase
             site = (index, phase, functools.partial(geo.slab, axis, slab))
-            if marks is not None:
-                steps.append(Step(MarkOp, mark=marks.spans[phase][0]))
             if phase > 0:
                 steps += [
                     Step(RecvOp, mp._neighbors[(axis, -step)], tags,
@@ -421,8 +420,6 @@ class ScheduleCompiler:
                          site=where)
                     for tags, nbytes, where in out
                 ]
-            if marks is not None:
-                steps.append(Step(MarkOp, mark=marks.spans[phase][1]))
 
     def _stencil(self, index, op, steps):
         """Halo exchange, then the local update.  One aggregated message per

@@ -136,11 +136,8 @@ class MultipartExecutor:
         self.payload = payload
         self.faults = faults
         self.protocol = protocol
-        # ops' phase annotations / marks only matter when someone observes
-        # them: the in-memory trace or a streaming sink
         self._compiler = ScheduleCompiler(
-            partitioning, shape, machine, aggregate,
-            marks=record_events or bool(self.sinks),
+            partitioning, shape, machine, aggregate
         )
         self.grid = self._compiler.grid
 
@@ -197,6 +194,14 @@ class MultipartExecutor:
         :mod:`repro.sweep.compile`)."""
         return self._compiler.compile(schedule)
 
+    def _program(self, compiled: CompiledSchedule, rank: int) -> tuple:
+        """One rank's ``(ops, sites)`` as the engine runs them: with the
+        op-label and phase-span marks when the in-memory trace or a sink
+        observes the run, the plain program otherwise."""
+        if self.record_events or self.sinks:
+            return compiled.marked[rank]
+        return compiled.ops[rank], compiled.sites[rank]
+
     def run(self, arrays, schedule) -> "tuple":
         """Distribute the array(s), execute ``schedule`` on all simulated
         ranks, reassemble and return ``(result, run_result)``.
@@ -239,9 +244,10 @@ class MultipartExecutor:
         :class:`~repro.simmpi.trace.RunResult` only.
 
         The same compiled ops :meth:`run` interprets — same sends (by tag
-        and byte count), receives, compute durations and phase marks — are
-        timed, so clocks, makespan, message counts, and byte totals match
-        real-data mode bit-for-bit; only the array contents are absent.
+        and byte count), receives, compute durations and, when observed,
+        phase marks — are timed, so clocks, makespan, message counts, and
+        byte totals match real-data mode bit-for-bit; only the array
+        contents are absent.
         With no faults, protocol or observers on a non-bus machine a
         paired lockstep program goes through
         :func:`~repro.simmpi.engine.replay_lockstep`, which gives the
@@ -256,18 +262,18 @@ class MultipartExecutor:
             and compiled.lockstep.paired
         ):
             return replay_lockstep(self.machine, compiled.lockstep)
-        ops = compiled.ops
         comms = [
             self._make_comm(rank) for rank in range(self.partitioning.nprocs)
         ]
         return self._execute(comms, [
-            self._replay(comm, rank_ops) for comm, rank_ops in zip(comms, ops)
+            self._replay(comm, self._program(compiled, comm.rank)[0])
+            for comm in comms
         ])
 
     def skeleton_rank_program(self, rank: int, schedule) -> Generator:
         """One rank's payload-free program as a fresh generator replaying
-        its compiled ops."""
-        ops, _ = self._compiler.compile_rank(rank, schedule)
+        the ops the engine would run for it."""
+        ops, _ = self._program(self.compile(schedule), rank)
         return self._replay(Comm(rank, self.partitioning.nprocs), ops)
 
     # -- rank programs --------------------------------------------------------
@@ -312,9 +318,7 @@ class MultipartExecutor:
         carries: dict = {}   # receiving tile -> incoming sweep carry
         outgoing: dict = {}  # sending tile -> outgoing sweep carry
         ghosts: dict = {}    # tile -> {(axis, side): halo face}
-        for prim, site in zip(
-            compiled.ops[comm.rank], compiled.sites[comm.rank]
-        ):
+        for prim, site in zip(*self._program(compiled, comm.rank)):
             if site is None:  # a mark
                 yield prim
                 continue

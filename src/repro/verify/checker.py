@@ -85,29 +85,22 @@ def _paired_verdict(ir: ProgramIR) -> tuple[AnalysisResult, ...] | None:
 
 
 def verify_planned(
-    config: Any, machine: Any, aggregate: bool = True
+    config: Any, executor: Any, schedule: Any
 ) -> tuple[tuple[AnalysisResult, ...], dict[str, Any], dict[str, int]]:
     """Proof pass + communication analyses over one planned configuration.
 
-    ``config`` is a :class:`repro.apps.AppConfig`; its rank programs are
-    compiled for ``machine`` with phase marks on.  Returns ``(analyses,
-    certificate, ir_stats)`` with the analyses in report order (matching,
-    deadlock, races, invariants).
+    ``config`` is a :class:`repro.apps.AppConfig` and ``executor`` a
+    :class:`repro.sweep.multipart.MultipartExecutor` on its partitioning
+    (carrying the machine and ``aggregate``); the analyses read the
+    program it compiles for ``schedule``, which a run on that executor
+    then reuses.  Witnesses name their phases whatever the executor
+    observes.  Returns ``(analyses, certificate, ir_stats)`` with the
+    analyses in report order (matching, deadlock, races, invariants).
     """
-    from repro.sweep.multipart import MultipartExecutor
-
     invariant_result, certificate = check_invariants(
         config.partitioning, mapping=config.mapping
     )
-    executor = MultipartExecutor(
-        config.partitioning,
-        config.problem.field_shape,
-        machine,
-        aggregate=aggregate,
-        record_events=True,  # enables phase marks in the extracted IR
-        payload="skeleton",
-    )
-    ir = extract_program_ir(executor, config.problem.schedule())
+    ir = extract_program_ir(executor, schedule)
     matching, deadlock, races = verify_ir(ir)
     stats = {
         "ranks": ir.nprocs,
@@ -139,7 +132,7 @@ def verify_config(
     """
     from repro.apps import plan_app
     from repro.simmpi.machine import origin2000
-    from repro.sweep.tiles import TileGrid
+    from repro.sweep.multipart import MultipartExecutor
 
     config: dict[str, Any] = {
         "app": app,
@@ -162,7 +155,10 @@ def verify_config(
             stencil_rhs=stencil_rhs,
         )
         # an axis cut into more tiles than it has points fails here
-        TileGrid(planned.problem.field_shape, planned.partitioning.gammas)
+        executor = MultipartExecutor(
+            planned.partitioning, planned.problem.field_shape, machine,
+            aggregate=aggregate, payload="skeleton",
+        )
     except ValueError as exc:
         # the configuration cannot be planned or tiled — surface it as an
         # invariant violation rather than a crash, with the reason
@@ -178,7 +174,7 @@ def verify_config(
 
     config["gammas"] = list(planned.partitioning.gammas)
     analyses, certificate, ir_stats = verify_planned(
-        planned, machine, aggregate=aggregate
+        planned, executor, planned.problem.schedule()
     )
     config["ir"] = ir_stats
     if protocol:

@@ -1,18 +1,20 @@
 """The rank-program IR: the compiled lockstep program and its op tuples.
 
-``ProgramIR.ranks`` is :attr:`repro.sweep.compile.CompiledSchedule.ops`:
-one tuple per rank of the primitive ops of :mod:`repro.simmpi.message`
-(``SendOp``/``RecvOp``/``ComputeOp``/``MarkOp``) that skeleton mode times
-and the real-data interpreter walks, so a verdict about the IR is a
-verdict about the program the engine runs.  An op is identified by its
-coordinates ``(rank, index)``, its position in ``ranks``; phase-span marks
-count as positions like any other op.  Analyses switch on
-``op.__class__`` and never run an op or touch a payload.
+For a compiled schedule ``ProgramIR.ranks`` is the marked view
+:attr:`repro.sweep.compile.CompiledSchedule.marked`: one tuple per rank of
+the primitive ops of :mod:`repro.simmpi.message`
+(``SendOp``/``RecvOp``/``ComputeOp``/``MarkOp``), the program the engine
+runs with an observed run's marks interleaved, so a verdict about the IR
+is a verdict about that program.  An op is identified by its coordinates
+``(rank, index)``, its position in ``ranks``; phase-span marks count as
+positions like any other op.  Analyses switch on ``op.__class__`` and
+never run an op or touch a payload.
 
-A compiled IR keeps its :class:`~repro.simmpi.engine.Lockstep` and
-derives ``ranks`` only when a per-op analysis asks.  ``verify_ir`` decides
-a :attr:`ProgramIR.paired` program from its send steps (DESIGN.md §8);
-hand-built, mutated and unpaired IRs are analyzed op by op.
+A compiled IR keeps the :class:`~repro.simmpi.engine.Lockstep` the run
+executes and derives ``ranks`` only when a per-op analysis asks.
+``verify_ir`` decides a :attr:`ProgramIR.paired` program from its send
+steps (DESIGN.md §8); hand-built, mutated and unpaired IRs are analyzed op
+by op.
 
 The phase an op sits in is not stored per op: :meth:`ProgramIR.witness`
 folds a rank's phase-span marks (:func:`fold_phases`) the first time it
@@ -75,16 +77,18 @@ def _counted(op: Any) -> bool:
 
 class ProgramIR:
     """The complete program: one op tuple per rank, or the lockstep
-    program they are derived from."""
+    program (or compiled schedule's marked view) they come from."""
 
     def __init__(
         self,
         nprocs: int,
         ranks: Sequence[tuple[Any, ...]] | None = None,
         lockstep: Lockstep | None = None,
+        compiled: Any = None,
     ) -> None:
         self.nprocs = nprocs
-        self.lockstep = lockstep
+        self.compiled = compiled
+        self.lockstep = lockstep if compiled is None else compiled.lockstep
         self._ranks = None if ranks is None else tuple(ranks)
         if self._ranks is not None and len(self._ranks) != nprocs:
             raise ValueError(
@@ -95,8 +99,11 @@ class ProgramIR:
     @property
     def ranks(self) -> tuple[tuple[Any, ...], ...]:
         if self._ranks is None:
-            assert self.lockstep is not None
-            self._ranks = self.lockstep.rank_ops()
+            if self.compiled is not None:
+                self._ranks = tuple(ops for ops, _ in self.compiled.marked)
+            else:
+                assert self.lockstep is not None
+                self._ranks = self.lockstep.rank_ops()
         return self._ranks
 
     @property
@@ -123,12 +130,12 @@ class ProgramIR:
 
     @property
     def total_ops(self) -> int:
-        """Every op except phase-span marks."""
+        """Every op except phase-span marks: a compiled program's steps
+        plus one op-label mark per schedule op, on every rank."""
         if self.lockstep is None:
             return sum(_counted(op) for ops in self.ranks for op in ops)
-        steps = self.lockstep.steps
-        counted = sum(s.kind is not MarkOp or _counted(s.mark) for s in steps)
-        return self.nprocs * counted
+        labels = 0 if self.compiled is None else len(self.compiled.schedule)
+        return self.nprocs * (len(self.lockstep.steps) + labels)
 
     @property
     def total_sends(self) -> int:
@@ -183,10 +190,9 @@ def extract_program_ir(executor: Any, schedule: Any) -> ProgramIR:
     """The :class:`ProgramIR` of ``schedule`` on ``executor``.
 
     ``executor`` is a :class:`repro.sweep.multipart.MultipartExecutor`;
-    the IR keeps its compiled lockstep program, with no per-op work.  Phase
-    marks are only compiled when the executor was constructed with mark
-    emission enabled (``record_events=True`` or any sink attached);
-    witness phases are empty strings otherwise.
+    the IR keeps the compiled program the executor runs (the same one
+    whether or not it observes the run), with no per-op work.  Witnesses
+    name their phases from the program's marked view.
     """
     compiled = executor.compile(schedule)
-    return ProgramIR(compiled.nprocs, lockstep=compiled.lockstep)
+    return ProgramIR(compiled.nprocs, compiled=compiled)

@@ -299,7 +299,7 @@ class TestLockstepPairing:
         )
 
     def test_marks_raise_type_error(self):
-        program = Lockstep((Step(MarkOp, mark=MarkOp("x")),), 2)
+        program = Lockstep((Step(MarkOp),), 2)
         with pytest.raises(TypeError, match="lockstep replay cannot run"):
             replay_lockstep(origin2000(), program)
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.runner import ExperimentSpec
 from repro.runner.execute import run_spec
+from repro.sweep.compile import ScheduleCompiler
 from repro.verify import SCHEMA, VerifyReport, verify_config
 
 
@@ -95,6 +96,30 @@ class TestRunnerPreFlight:
         result = run_spec(spec, verify=True)
         assert result == run_spec(spec)
         assert result["summary"]["makespan"] > 0
+
+    @pytest.mark.parametrize("mode", ["skeleton", "simulated"])
+    def test_verified_run_compiles_once(self, mode, monkeypatch):
+        """The pre-flight verifies the very program the run executes: one
+        schedule is lowered once, and every compile hands out that one
+        result."""
+        lowered, handed = [], []
+        lower, compile_ = ScheduleCompiler._lower, ScheduleCompiler.compile
+
+        def spy_lower(self, schedule):
+            lowered.append(schedule)
+            return lower(self, schedule)
+
+        def spy_compile(self, schedule):
+            handed.append(compile_(self, schedule))
+            return handed[-1]
+
+        monkeypatch.setattr(ScheduleCompiler, "_lower", spy_lower)
+        monkeypatch.setattr(ScheduleCompiler, "compile", spy_compile)
+        spec = ExperimentSpec(app="sp", shape=(8, 8, 8), p=4, mode=mode)
+        result = run_spec(spec, verify=True)
+        assert "error" not in result and result["summary"]["makespan"] > 0
+        assert len(lowered) == 1
+        assert len(handed) == 2 and handed[0] is handed[1]
 
     @pytest.mark.parametrize("app", ["sp", "bt", "adi"])
     def test_failing_pre_flight_certifies_like_check(self, app, monkeypatch):

@@ -19,16 +19,16 @@ from repro.verify import ProgramIR, extract_program_ir
 from repro.verify.ir import fold_phases
 
 
-def skeleton_config(app, shape, p, marks=True):
-    """(executor, schedule) as ``repro check`` compiles them: phase marks
-    on, skeleton payloads, the Origin 2000 machine."""
+def skeleton_config(app, shape, p, record_events=False):
+    """(executor, schedule) as ``repro check`` compiles them: skeleton
+    payloads, the Origin 2000 machine."""
     machine = origin2000()
     config = plan_app(app, shape, p, cost_model=machine.to_cost_model())
     executor = MultipartExecutor(
         config.partitioning,
         config.problem.field_shape,
         machine,
-        record_events=marks,
+        record_events=record_events,
         payload="skeleton",
     )
     return executor, config.problem.schedule()
@@ -128,25 +128,36 @@ class TestExtraction:
     def test_ir_is_the_compiled_program(self):
         executor, schedule = skeleton_config("sp", (8, 8, 8), 4)
         ir = extract_program_ir(executor, schedule)
-        assert ir.ranks == executor.compile(schedule).ops
+        compiled = executor.compile(schedule)
+        assert ir.lockstep is compiled.lockstep
+        assert ir.ranks == tuple(ops for ops, _ in compiled.marked)
 
     @pytest.mark.parametrize("app", ["sp", "bt", "adi"])
     @pytest.mark.parametrize("shape,p", [((8, 8, 8), 4), ((9, 7, 11), 6)])
     def test_total_ops_excludes_phase_spans(self, app, shape, p):
         """The published op count is the unmarked program plus one op-label
-        mark per schedule op and rank: phase-span marks do not count."""
+        mark per schedule op and rank: phase-span marks do not count.  The
+        step count and the per-op count of the marked view agree."""
         executor, schedule = skeleton_config(app, shape, p)
-        unmarked, _ = skeleton_config(app, shape, p, marks=False)
         ir = extract_program_ir(executor, schedule)
-        plain = sum(map(len, unmarked.compile(schedule).ops))
+        plain = sum(map(len, executor.compile(schedule).ops))
         assert ir.total_ops == plain + p * len(schedule)
+        assert ir.total_ops == ProgramIR(p, ir.ranks).total_ops
         assert ir.total_ops < sum(map(len, ir.ranks))
 
     def test_phases_annotated_when_marks_enabled(self):
-        executor, schedule = skeleton_config("sp", (8, 8, 8), 4)
-        ir = extract_program_ir(executor, schedule)
-        phases = {ir.witness(r, i)["phase"] for r, i, _ in ir.sends()}
+        """Witnesses name their phases whether or not the executor
+        observes its runs: both compile the same program."""
+        witnesses = []
+        for record_events in (False, True):
+            executor, schedule = skeleton_config(
+                "sp", (8, 8, 8), 4, record_events=record_events
+            )
+            ir = extract_program_ir(executor, schedule)
+            witnesses.append([ir.witness(r, i) for r, i, _ in ir.sends()])
+        phases = {w["phase"] for w in witnesses[0]}
         assert phases and all(p for p in phases)
+        assert witnesses[0] == witnesses[1]
 
     def test_replace_rank_substitutes_one_rank(self):
         executor, schedule = skeleton_config("sp", (8, 8, 8), 2)

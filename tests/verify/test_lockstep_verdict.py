@@ -21,6 +21,7 @@ from repro.apps import plan_app
 from repro.simmpi.engine import Lockstep, Step
 from repro.simmpi.machine import origin2000
 from repro.simmpi.message import RecvOp, SendOp
+from repro.sweep.compile import CompiledSchedule
 from repro.sweep.multipart import MultipartExecutor
 from repro.verify import checker as checker_module
 from repro.verify import races as races_module
@@ -37,7 +38,8 @@ def refuse(*args, **kwargs):
 
 
 def compiled_ir(app, shape, p, aggregate=True, stencil_rhs=False):
-    """The IR ``repro check`` extracts: phase marks on, skeleton payloads."""
+    """The IR ``repro check`` extracts: skeleton payloads, an executor
+    that records events (the program is the same either way)."""
     machine = origin2000()
     config = plan_app(
         app, shape, p, cost_model=machine.to_cost_model(),
@@ -128,12 +130,15 @@ def clean():
 
 
 def mutate(ir, index, **fields):
-    """The IR with step ``index``'s fields replaced."""
+    """The IR with step ``index``'s fields replaced, marks derived from
+    the mutated program as from the compiled one."""
     steps = list(ir.lockstep.steps)
     steps[index] = steps[index]._replace(**fields)
     program = Lockstep(tuple(steps), ir.nprocs)
     assert not program.paired
-    return ProgramIR(ir.nprocs, lockstep=program)
+    return ProgramIR(
+        ir.nprocs, compiled=CompiledSchedule(ir.compiled.schedule, program)
+    )
 
 
 def first_step(ir, kind):
