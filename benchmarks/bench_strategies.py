@@ -18,11 +18,11 @@ from repro.apps.sp import sp_class
 from repro.apps.workloads import random_field
 from repro.core.api import plan_multipartitioning
 from repro.simmpi.machine import origin2000
+from repro.sweep.blockgrid import BlockGridExecutor
 from repro.sweep.modeled import best_wavefront_chunks, transpose_time
 from repro.sweep.multipart import MultipartExecutor
 from repro.sweep.sequential import run_sequential
 from repro.sweep.transpose import TransposeExecutor
-from repro.sweep.wavefront import WavefrontExecutor
 
 
 def skeleton_makespan(shape, partitioning, machine, sched) -> float:
@@ -87,9 +87,9 @@ def test_three_strategies_simulated(p, benchmark, report):
         )
 
     out_m, res_m = benchmark(run_multipart)
-    out_w, res_w = WavefrontExecutor(p, prob.shape, machine, chunks=6).run(
-        field, sched
-    )
+    out_w, res_w = BlockGridExecutor(
+        (p,), prob.shape, machine, chunks=6
+    ).run(field, sched)
     out_t, res_t = TransposeExecutor(p, prob.shape, machine).run(field, sched)
     for out in (out_m, out_w, out_t):
         assert np.allclose(out, ref, atol=1e-11)

@@ -13,17 +13,17 @@ import numpy as np
 from repro.analysis.report import format_table
 from repro.apps.workloads import random_field
 from repro.simmpi.machine import ethernet_cluster
-from repro.sweep.modeled import wavefront_time
+from repro.sweep.blockgrid import BlockGridExecutor
+from repro.sweep.modeled import blockgrid_time
 from repro.sweep.ops import SweepOp
 from repro.sweep.sequential import run_sequential
-from repro.sweep.wavefront import WavefrontExecutor
 
 
 def test_granularity_sweep_closed_form(benchmark, report):
     machine = ethernet_cluster()
     benchmark.pedantic(
-        lambda: wavefront_time(
-            (102, 102, 102), 16, ethernet_cluster(),
+        lambda: blockgrid_time(
+            (102, 102, 102), (16,), ethernet_cluster(),
             [SweepOp(axis=0, mult=0.5)], chunks=16
         ),
         rounds=1,
@@ -34,7 +34,7 @@ def test_granularity_sweep_closed_form(benchmark, report):
     rows = []
     times = {}
     for chunks in (1, 2, 4, 8, 16, 32, 64, 102):
-        t = wavefront_time(shape, 16, machine, sched, chunks=chunks)
+        t = blockgrid_time(shape, (16,), machine, sched, chunks=chunks)
         times[chunks] = t
         rows.append([chunks, t])
     report(
@@ -54,8 +54,8 @@ def test_granularity_simulated(benchmark, report):
     ref = run_sequential(field, sched)
     rows = []
     for chunks in (1, 4, 12, 24):
-        out, res = WavefrontExecutor(
-            4, shape, machine, chunks=chunks
+        out, res = BlockGridExecutor(
+            (4,), shape, machine, chunks=chunks
         ).run(field, sched)
         assert np.allclose(out, ref, atol=1e-12)
         rows.append([chunks, res.makespan, res.message_count])
@@ -65,7 +65,7 @@ def test_granularity_simulated(benchmark, report):
     )
 
     def run_mid():
-        return WavefrontExecutor(4, shape, machine, chunks=12).run(
+        return BlockGridExecutor((4,), shape, machine, chunks=12).run(
             field, sched
         )
 

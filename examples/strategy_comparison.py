@@ -19,9 +19,9 @@ from repro.apps.workloads import random_field
 from repro.core.api import plan_multipartitioning
 from repro.simmpi import origin2000
 from repro.sweep import (
+    BlockGridExecutor,
     MultipartExecutor,
     TransposeExecutor,
-    WavefrontExecutor,
     run_sequential,
 )
 
@@ -44,7 +44,7 @@ def main() -> None:
         ),
         (
             "wavefront (static block)",
-            WavefrontExecutor(p, shape, machine, chunks=6,
+            BlockGridExecutor((p,), shape, machine, chunks=6,
                               record_events=True),
         ),
         (

@@ -16,7 +16,7 @@ from repro.apps.workloads import random_field
 from repro.core.api import plan_multipartitioning
 from repro.simmpi import origin2000
 from repro.simmpi.traceio import ascii_timeline, write_chrome_trace
-from repro.sweep import MultipartExecutor, WavefrontExecutor
+from repro.sweep import BlockGridExecutor, MultipartExecutor
 
 
 def main() -> None:
@@ -35,8 +35,8 @@ def main() -> None:
     print(ascii_timeline(multi, width=64))
     print(f"efficiency {multi.efficiency():.2f}")
 
-    _, wave = WavefrontExecutor(
-        p, shape, machine, chunks=4, record_events=True
+    _, wave = BlockGridExecutor(
+        (p,), shape, machine, chunks=4, record_events=True
     ).run(field, prob.schedule())
     print(f"\nwavefront (static block), same schedule on {p} ranks:")
     print(ascii_timeline(wave, width=64))

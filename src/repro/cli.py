@@ -16,6 +16,7 @@ chaos     Fault-injection degradation report (curve, straggler, ranking).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -32,7 +33,9 @@ def _shape(text: str) -> tuple[int, ...]:
     return shape
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process: parsing only reads it."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Generalized multipartitioning (IPDPS 2002) toolkit",

@@ -18,9 +18,9 @@ import numpy as np
 from repro.core.cost import CostModel
 from repro.simmpi.machine import MachineModel
 from repro.simmpi.trace import RunResult
+from repro.sweep.blockgrid import BlockGridExecutor
 from repro.sweep.multipart import MultipartExecutor
 from repro.sweep.ops import BlockSweepOp, PointwiseOp, StencilOp, SweepOp
-from repro.sweep.wavefront import WavefrontExecutor
 
 from .commsched import (
     StencilCommPlan,
@@ -138,17 +138,16 @@ class CompiledProgram:
                 record_events=record_events,
             )
             return executor.run(array, list(self.schedule))
-        # BLOCK: use the wavefront executor on the (single) partitioned axis
+        # BLOCK: a block grid cutting the (single) partitioned axis
         axes = self.program.distribute.partitioned_axes()
         if len(axes) != 1:
             raise NotImplementedError(
                 "block execution supports exactly one partitioned axis"
             )
-        executor = WavefrontExecutor(
-            self.resolution.nprocs,
+        executor = BlockGridExecutor(
+            (1,) * axes[0] + (self.resolution.nprocs,),
             shape,
             machine,
-            part_axis=axes[0],
             record_events=record_events,
         )
         return executor.run(array, list(self.schedule))

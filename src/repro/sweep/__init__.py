@@ -4,21 +4,23 @@ Real-data executors (all interpret the same :mod:`repro.sweep.ops`
 schedules, so results are directly comparable):
 
 * :class:`MultipartExecutor` — the paper's strategy;
-* :class:`WavefrontExecutor` — static block unipartitioning baseline;
-* :class:`TransposeExecutor` — dynamic block (transpose) baseline;
+* :class:`BlockGridExecutor` — static block baseline over a per-axis
+  processor grid with pipelined wavefront sweeps (``(p,)`` is the classic
+  one-axis wavefront);
+* :class:`TransposeExecutor` — dynamic block (transpose) baseline: the
+  one-axis block layout with transposes around each sweep of the cut axis;
 * :func:`run_sequential` — single-processor ground truth.
 
 Every multipartitioned time is the makespan of the compiled program
 (:meth:`MultipartExecutor.run_skeleton` times class-B/C shapes
 payload-free); :func:`best_processor_count` searches processor counts with
 it.  :mod:`repro.sweep.modeled` keeps closed-form approximations for the
-wavefront and transpose baselines only.
+two block baselines only.
 """
 
-from .modeled import best_wavefront_chunks, transpose_time, wavefront_time
+from .modeled import best_wavefront_chunks, blockgrid_time, transpose_time
 from .multipart import MultipartExecutor, best_processor_count
-from .blockgrid import BlockGridExecutor, blockgrid_time
-from .halo import slab_stencil
+from .blockgrid import BlockGridExecutor
 from .ops import (
     BinaryPointwiseOp,
     BlockSweepOp,
@@ -36,12 +38,10 @@ from .recurrence import affine_scan, thomas_factor, thomas_solve
 from .sequential import run_sequential, sequential_time
 from .tiles import TileGrid, axis_extents
 from .transpose import TransposeExecutor
-from .wavefront import WavefrontExecutor
 
 __all__ = [
     "MultipartExecutor",
     "best_processor_count",
-    "WavefrontExecutor",
     "TransposeExecutor",
     "BlockGridExecutor",
     "blockgrid_time",
@@ -57,14 +57,12 @@ __all__ = [
     "StencilOp",
     "SweepOp",
     "star_laplacian",
-    "slab_stencil",
     "thomas_ops",
     "affine_scan",
     "thomas_factor",
     "thomas_solve",
     "TileGrid",
     "axis_extents",
-    "wavefront_time",
     "transpose_time",
     "best_wavefront_chunks",
 ]

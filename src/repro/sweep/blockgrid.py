@@ -1,23 +1,35 @@
-"""Multi-axis static block partitioning with wavefront sweeps.
+"""Static block partitioning with pipelined wavefront sweeps.
 
-:class:`WavefrontExecutor` cuts one dimension; real static block
-parallelizations of 3-D codes cut two (a ``p1 x p2`` processor grid over
-axes 0 and 1, axis 2 local).  Sweeps then behave per axis:
+``grid`` gives the processor count per axis; missing trailing axes are
+uncut.  ``(p,)`` is the classic static block unipartitioning (one slab per
+rank), ``(1, p)`` cuts axis 1, and ``(p1, p2)`` is the ``p1 x p2``
+processor grid real static block parallelizations of 3-D codes use.  Ranks
+are numbered in C order over the grid, and each owns one block for the
+whole computation.  Sweeps then behave per axis:
 
-* along a partitioned axis: every line crosses one *chain* of the grid
-  (a row or column of processors) — the chain pipelines chunk by chunk
-  exactly like the 1-D wavefront, and the ``p_other`` chains run
-  concurrently;
-* along an unpartitioned axis: fully local.
+* along an uncut axis: every line lies inside one block, so the sweep is
+  one local compute;
+* along a cut axis: every line crosses one *chain* of ranks (those that
+  differ only in that coordinate).  The recurrence serializes the chain,
+  so it is pipelined: the block is cut into ``chunks`` pieces over the
+  first other cut axis (else the first other axis), and a rank starts
+  chunk ``k`` as soon as its upstream neighbour has finished it.  Small
+  chunks shorten pipeline fill/drain but pay more per-message overhead —
+  the classic tension the paper describes in Section 1.  The chains run
+  concurrently.
 
-This is the strongest block-partitioning baseline for 3-D line sweeps and
-the shape against which the paper's 3-D multipartitionings were
-historically compared (van der Wijngaart's "static" variants).
+A star stencil exchanges faces along each cut axis in turn.  This is the
+strongest block-partitioning baseline for 3-D line sweeps and the shape
+against which the paper's 3-D multipartitionings were historically compared
+(van der Wijngaart's "static" variants).  :class:`TransposeExecutor`
+(:mod:`repro.sweep.transpose`) shares the layout and overrides only the
+cut-axis sweep.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+import math
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -34,72 +46,119 @@ from .ops import (
     SweepOp,
     scan_op,
 )
-from .slabops import as_named, local_slab_op, unwrap_named
 from .tiles import axis_extents
 
-__all__ = ["BlockGridExecutor", "blockgrid_time"]
+__all__ = ["BlockGridExecutor", "local_slab_op", "as_named", "unwrap_named"]
+
+
+def as_named(arrays) -> tuple[bool, dict]:
+    """Normalize executor input: single array -> {"u": array}."""
+    single = not isinstance(arrays, dict)
+    named = {"u": arrays} if single else arrays
+    shapes = {np.asarray(a).shape for a in named.values()}
+    if len(shapes) > 1:
+        raise ValueError(f"aligned arrays must share a shape, got {shapes}")
+    return single, named
+
+
+def unwrap_named(single: bool, named: dict):
+    return named["u"] if single else named
+
+
+def local_slab_op(
+    comm: Comm,
+    op,
+    get: Callable[[str], np.ndarray],
+    machine: MachineModel,
+) -> Generator:
+    """Apply a communication-free op (pointwise / binary / copy) to this
+    rank's blocks; ``get(name)`` returns the local block of an array."""
+    if isinstance(op, PointwiseOp):
+        slab = get(op.array)
+        result = op.fn(slab)
+        if result.shape != slab.shape:
+            raise ValueError(f"{op.name} changed the slab's shape")
+        slab[...] = result
+        size = slab.size
+    elif isinstance(op, BinaryPointwiseOp):
+        target = get(op.target)
+        result = op.fn(target, get(op.source))
+        if result.shape != target.shape:
+            raise ValueError(f"{op.name} changed the slab's shape")
+        target[...] = result
+        size = target.size
+    elif isinstance(op, CopyOp):
+        dst = get(op.dst)
+        dst[...] = get(op.src)
+        size = dst.size
+    else:
+        raise TypeError(f"not a local slab op: {op!r}")
+    yield from comm.compute(
+        machine.compute_time(size, op.flops_per_point, tiles=1),
+        points=size,
+    )
 
 
 class BlockGridExecutor:
-    """Static ``p1 x p2`` block partitioning of axes (0, 1) with pipelined
-    wavefront sweeps along both partitioned axes."""
+    """Static block partitioning over a per-axis processor grid, with
+    pipelined wavefront sweeps along the cut axes."""
 
     def __init__(
         self,
-        grid: tuple[int, int],
+        grid: tuple[int, ...],
         shape: tuple[int, ...],
         machine: MachineModel,
         chunks: int = 8,
         record_events: bool = False,
     ):
         shape = tuple(int(s) for s in shape)
+        grid = tuple(int(g) for g in grid)
         if len(shape) < 2:
             raise ValueError("need at least 2 dimensions")
-        p1, p2 = int(grid[0]), int(grid[1])
-        if p1 < 1 or p2 < 1:
+        if not 1 <= len(grid) <= len(shape):
+            raise ValueError("grid needs one factor per leading axis")
+        if min(grid) < 1:
             raise ValueError("grid factors must be >= 1")
-        if p1 > shape[0] or p2 > shape[1]:
+        if any(g > n for g, n in zip(grid, shape)):
             raise ValueError("grid exceeds array extents")
         if chunks < 1:
             raise ValueError("chunks must be >= 1")
-        self.grid = (p1, p2)
-        self.nprocs = p1 * p2
+        self.grid = grid + (1,) * (len(shape) - len(grid))
+        self.nprocs = math.prod(grid)
         self.shape = shape
         self.machine = machine
         self.chunks = chunks
         self.record_events = record_events
-        self._spans0 = axis_extents(shape[0], p1)
-        self._spans1 = axis_extents(shape[1], p2)
+        self._cut_axes = tuple(a for a, g in enumerate(self.grid) if g > 1)
+        # C-order rank numbering: neighbours along axis a are stride[a] apart
+        self._strides = tuple(
+            math.prod(self.grid[a + 1:]) for a in range(len(shape))
+        )
+        self._spans = [axis_extents(n, g) for n, g in zip(shape, self.grid)]
 
     # -- rank geometry -------------------------------------------------------
 
-    def _coords(self, rank: int) -> tuple[int, int]:
-        return divmod(rank, self.grid[1])
+    def _coords(self, rank: int) -> tuple[int, ...]:
+        return tuple(
+            rank // stride % g for stride, g in zip(self._strides, self.grid)
+        )
 
-    def _rank(self, r: int, c: int) -> int:
-        return r * self.grid[1] + c
-
-    def _rank_sel(self, rank: int, ndim: int) -> tuple:
-        r, c = self._coords(rank)
-        lo0, hi0 = self._spans0[r]
-        lo1, hi1 = self._spans1[c]
-        sel: list = [slice(None)] * ndim
-        sel[0] = slice(lo0, hi0)
-        sel[1] = slice(lo1, hi1)
-        return tuple(sel)
+    def _rank_sel(self, rank: int) -> tuple:
+        return tuple(
+            slice(*self._spans[a][c])
+            for a, c in enumerate(self._coords(rank))
+        )
 
     def run(self, arrays, schedule) -> "tuple":
         single, named = as_named(arrays)
         per_rank: list[dict] = [{} for _ in range(self.nprocs)]
-        ndim = None
         for name, array in named.items():
             array = np.asarray(array, dtype=np.float64)
             if array.shape != self.shape:
                 raise ValueError("array shape mismatch")
-            ndim = array.ndim
             for rank in range(self.nprocs):
                 per_rank[rank][name] = np.array(
-                    array[self._rank_sel(rank, ndim)], copy=True
+                    array[self._rank_sel(rank)], copy=True
                 )
         programs = [
             self._rank_program(Comm(rank, self.nprocs), per_rank[rank],
@@ -113,9 +172,7 @@ class BlockGridExecutor:
         for name in named:
             full = np.empty(self.shape, dtype=np.float64)
             for rank in range(self.nprocs):
-                full[self._rank_sel(rank, len(self.shape))] = (
-                    per_rank[rank][name]
-                )
+                full[self._rank_sel(rank)] = per_rank[rank][name]
             out[name] = full
         return unwrap_named(single, out), result
 
@@ -145,53 +202,48 @@ class BlockGridExecutor:
             elif isinstance(op, (SweepOp, BlockSweepOp)):
                 block = get(op.array)
                 axis = op.axis % len(self.shape)
-                if axis >= 2:
-                    n = self.shape[axis]
-                    scan_op(block, op, 0, n, n, carry=None)
-                    yield from comm.compute(
-                        self.machine.compute_time(
-                            block.size, op.flops_per_point, tiles=1
-                        ),
-                        points=block.size,
-                    )
+                if self.grid[axis] == 1:
+                    yield from self._local_sweep(comm, block, op, axis)
                 else:
-                    yield from self._pipelined(comm, block, op, axis,
+                    yield from self._cut_sweep(comm, blocks, op, axis,
                                                op_index)
             else:
                 raise TypeError(f"unsupported op {op!r}")
         return comm.rank
 
-    def _pipelined(
-        self, comm: Comm, block: np.ndarray, op, axis: int, op_index: int
+    def _local_sweep(
+        self, comm: Comm, block: np.ndarray, op, axis: int
     ) -> Generator:
-        """Wavefront along partitioned axis 0 or 1: the chain is this
-        rank's row/column of the grid; chunk over the *other* partitioned
-        axis (keeping chunk traffic within the chain)."""
-        r, c = self._coords(comm.rank)
-        if axis == 0:
-            chain_pos, chain_len = r, self.grid[0]
-            lo, hi = self._spans0[r]
+        """Sweep a block that holds the full extent of ``axis``."""
+        n = self.shape[axis]
+        scan_op(block, op, 0, n, n, carry=None)
+        yield from comm.compute(
+            self.machine.compute_time(
+                block.size, op.flops_per_point, tiles=1
+            ),
+            points=block.size,
+        )
 
-            def chain_rank(pos: int) -> int:
-                return self._rank(pos, c)
-        else:
-            chain_pos, chain_len = c, self.grid[1]
-            lo, hi = self._spans1[c]
-
-            def chain_rank(pos: int) -> int:
-                return self._rank(r, pos)
-
-        n_global = self.shape[axis]
-        chunk_axis = 1 - axis  # the other partitioned axis (local extent)
+    def _cut_sweep(
+        self, comm: Comm, blocks: dict, op, axis: int, op_index: int
+    ) -> Generator:
+        """Wavefront along cut ``axis``: pipeline chunk by chunk down this
+        rank's chain, chunking over the first other cut axis (keeping chunk
+        traffic within the chain), else the first other axis."""
+        block = blocks[op.array]
+        pos, chain = self._coords(comm.rank)[axis], self.grid[axis]
+        lo, hi = self._spans[axis][pos]
+        chunk_axis = next(
+            a for a in self._cut_axes + tuple(range(block.ndim)) if a != axis
+        )
         n_chunk = block.shape[chunk_axis]
-        chunks = min(self.chunks, n_chunk)
-        spans = axis_extents(n_chunk, chunks)
+        spans = axis_extents(n_chunk, min(self.chunks, n_chunk))
 
         step = -1 if op.reverse else +1
-        first = chain_pos == (0 if step == 1 else chain_len - 1)
-        last = chain_pos == (chain_len - 1 if step == 1 else 0)
-        upstream = chain_rank(chain_pos - step) if not first else -1
-        downstream = chain_rank(chain_pos + step) if not last else -1
+        first = pos == (0 if step == 1 else chain - 1)
+        last = pos == (chain - 1 if step == 1 else 0)
+        upstream = comm.rank - step * self._strides[axis]
+        downstream = comm.rank + step * self._strides[axis]
         tag_base = (op_index + 1) * 100_000
 
         for k, (clo, chi) in enumerate(spans):
@@ -201,7 +253,8 @@ class BlockGridExecutor:
             carry_in = None
             if not first:
                 carry_in = yield from comm.recv(upstream, tag_base + k)
-            carry_out = scan_op(sub, op, lo, hi, n_global, carry=carry_in)
+            carry_out = scan_op(sub, op, lo, hi, self.shape[axis],
+                                carry=carry_in)
             yield from comm.compute(
                 self.machine.compute_time(
                     sub.size, op.flops_per_point, tiles=1
@@ -219,50 +272,44 @@ class BlockGridExecutor:
         op_index: int,
         out: np.ndarray | None = None,
     ) -> Generator:
-        """Halo exchange across both partitioned axes, one after the other
-        (star stencil: axis fills are independent)."""
-        r, c = self._coords(comm.rank)
+        """Halo exchange across each cut axis, one after the other (star
+        stencil: axis fills are independent).  Along each axis a rank sends
+        its trailing planes downstream (their low ghosts) and its leading
+        planes upstream (their high ghosts) before receiving."""
+        coords = self._coords(comm.rank)
         ndim = block.ndim
         reach = op.pad_widths(ndim)
         tag_base = (op_index + 1) * 100_000 + 50_000
 
         ghosts: dict[tuple[int, int], np.ndarray] = {}
-        for axis, (pos, length, other) in (
-            (0, (r, self.grid[0], c)),
-            (1, (c, self.grid[1], r)),
-        ):
+        for i, axis in enumerate(self._cut_axes):
             lo_w, hi_w = reach[axis]
+            pos, length = coords[axis], self.grid[axis]
+            stride = self._strides[axis]
             n = block.shape[axis]
-
-            def nbr(p_: int) -> int:
-                return (
-                    self._rank(p_, other) if axis == 0 else self._rank(
-                        other, p_
-                    )
-                )
+            tag = tag_base + 10 * i
 
             def face(index: slice) -> np.ndarray:
                 sel: list = [slice(None)] * ndim
                 sel[axis] = index
+                # copy: the face may alias the block about to be updated
                 return np.array(block[tuple(sel)], copy=True)
 
             if lo_w and pos + 1 < length:
                 yield from comm.send(
-                    face(slice(n - lo_w, n)), nbr(pos + 1),
-                    tag_base + 10 * axis,
+                    face(slice(n - lo_w, n)), comm.rank + stride, tag
                 )
             if hi_w and pos - 1 >= 0:
                 yield from comm.send(
-                    face(slice(0, hi_w)), nbr(pos - 1),
-                    tag_base + 10 * axis + 1,
+                    face(slice(0, hi_w)), comm.rank - stride, tag + 1
                 )
             if lo_w and pos - 1 >= 0:
                 ghosts[(axis, 0)] = yield from comm.recv(
-                    nbr(pos - 1), tag_base + 10 * axis
+                    comm.rank - stride, tag
                 )
             if hi_w and pos + 1 < length:
                 ghosts[(axis, 1)] = yield from comm.recv(
-                    nbr(pos + 1), tag_base + 10 * axis + 1
+                    comm.rank + stride, tag + 1
                 )
 
         padded = np.pad(block, reach, mode="constant")
@@ -283,7 +330,10 @@ class BlockGridExecutor:
             padded[tuple(sel)] = ghost
         result = op.fn(padded)
         if result.shape != block.shape:
-            raise ValueError(f"{op.name} must return the core shape")
+            raise ValueError(
+                f"{op.name} must return the core shape {block.shape}, "
+                f"got {result.shape}"
+            )
         (out if out is not None else block)[...] = result
         yield from comm.compute(
             self.machine.compute_time(
@@ -291,56 +341,3 @@ class BlockGridExecutor:
             ),
             points=block.size,
         )
-
-
-def blockgrid_time(
-    shape: tuple[int, ...],
-    grid: tuple[int, int],
-    machine: MachineModel,
-    schedule,
-    chunks: int = 8,
-) -> float:
-    """Closed-form model of :class:`BlockGridExecutor`: per partitioned
-    axis, a ``chunks + chain - 1``-stage pipeline of chunk compute + chunk
-    carry; unpartitioned axes and pointwise ops are pure compute."""
-    from .modeled import _msg_time
-
-    eta = float(np.prod(shape))
-    p1, p2 = grid
-    p = p1 * p2
-    total = 0.0
-    for op in schedule:
-        if isinstance(op, (PointwiseOp, StencilOp)):
-            total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
-            if isinstance(op, StencilOp):
-                for axis, chain in ((0, p1), (1, p2)):
-                    if chain == 1:
-                        continue
-                    lo, hi = op.reach[axis]
-                    share = eta / (shape[axis] * p)
-                    for width in (lo, hi):
-                        if width:
-                            total += _msg_time(
-                                machine,
-                                width * share * machine.itemsize,
-                                concurrent=p,
-                            )
-            continue
-        axis = op.axis % len(shape)
-        if axis >= 2 or (axis == 0 and p1 == 1) or (axis == 1 and p2 == 1):
-            total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
-            continue
-        chain = p1 if axis == 0 else p2
-        other_local = shape[1 - axis] // (p2 if axis == 0 else p1)
-        eff_chunks = min(chunks, max(1, other_local))
-        chunk_points = eta / (p * eff_chunks)
-        carry_elems = eta / (shape[axis] * (p2 if axis == 0 else p1)) / (
-            eff_chunks
-        )
-        stage = machine.compute_time(
-            chunk_points, op.flops_per_point, tiles=1
-        ) + _msg_time(
-            machine, carry_elems * machine.itemsize, concurrent=p
-        )
-        total += (eff_chunks + chain - 1) * stage
-    return total

@@ -1,18 +1,21 @@
 """Closed-form approximate times for the two block-partitioned baselines.
 
-The wavefront (static block, pipelined) and transpose (dynamic block)
-strategies have no compiled skeleton program, so their class-B times come
-from these formulas: the simulator's latency/bandwidth/compute accounting
-collapsed analytically, ignoring pipeline-overlap and uneven-block effects.
-They are approximations; tests cross-check them against simulated runs on
-small problems.  Multipartitioned times never come from here: they are the
+The static block (:class:`BlockGridExecutor`, pipelined wavefronts) and
+dynamic block (:class:`TransposeExecutor`) strategies have no compiled
+skeleton program, so their class-B times come from these formulas: the
+simulator's latency/bandwidth/compute accounting collapsed analytically,
+ignoring pipeline-overlap and uneven-block effects.  They are
+approximations; tests cross-check them against simulated runs on small
+problems.  Multipartitioned times never come from here: they are the
 makespan of the compiled program (:meth:`MultipartExecutor.run_skeleton`).
 
 All functions return the approximate time of executing a *schedule* (list
-of :class:`SweepOp` / :class:`PointwiseOp`).
+of :mod:`repro.sweep.ops` ops).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,30 +24,8 @@ from repro.simmpi.machine import MachineModel
 
 from .ops import PointwiseOp, StencilOp
 
-
-def _stencil_halo_time(
-    machine: MachineModel,
-    shape: tuple[int, ...],
-    op: StencilOp,
-    p: int,
-    part_axis: int,
-) -> float:
-    """Halo-exchange cost of one StencilOp under slab partitioning along
-    ``part_axis``: two slab-face messages per rank."""
-    if p == 1:
-        return 0.0
-    lo, hi = op.reach[part_axis]
-    # per-rank face elements per plane
-    share = float(np.prod(shape)) / (shape[part_axis] * p)
-    return sum(
-        _msg_time(machine, width * share * machine.itemsize, concurrent=p)
-        for width in (lo, hi)
-        if width
-    )
-
-
 __all__ = [
-    "wavefront_time",
+    "blockgrid_time",
     "transpose_time",
     "best_wavefront_chunks",
 ]
@@ -70,47 +51,70 @@ def _msg_time(
     )
 
 
-def wavefront_time(
+def _halo_time(
+    machine: MachineModel,
     shape: tuple[int, ...],
-    nprocs: int,
+    grid: tuple[int, ...],
+    op: StencilOp,
+) -> float:
+    """Halo-exchange cost of one StencilOp on a block grid: per cut axis,
+    one face message per non-zero reach side."""
+    eta = float(np.prod(shape))
+    p = math.prod(grid)
+    return sum(
+        _msg_time(
+            machine,
+            width * (eta / (shape[axis] * p)) * machine.itemsize,
+            concurrent=p,
+        )
+        for axis, chain in enumerate(grid)
+        if chain > 1
+        for width in op.reach[axis]
+        if width
+    )
+
+
+def blockgrid_time(
+    shape: tuple[int, ...],
+    grid: tuple[int, ...],
     machine: MachineModel,
     schedule,
-    part_axis: int = 0,
     chunks: int = 8,
 ) -> float:
-    """Approximate time under static block unipartitioning with
-    ``chunks``-deep pipelining of sweeps along the partitioned axis.
+    """Approximate time of :class:`BlockGridExecutor` over the per-axis
+    processor ``grid`` (missing trailing axes uncut).
 
-    A pipelined sweep behaves like ``chunks + p - 1`` stages, each costing
-    one chunk of compute plus one chunk-carry message.
+    A sweep along a cut axis behaves like ``chunks + chain - 1`` pipeline
+    stages, each costing one chunk of compute plus one chunk-carry message;
+    sweeps along uncut axes and pointwise ops are pure compute, and a
+    stencil adds its halo faces.
     """
+    grid = tuple(grid) + (1,) * (len(shape) - len(grid))
+    cut = [a for a, g in enumerate(grid) if g > 1]
     eta = float(np.prod(shape))
-    p = nprocs
+    p = math.prod(grid)
     total = 0.0
-    chunk_axis_len = shape[0] if part_axis != 0 else shape[1]
-    chunks = min(chunks, chunk_axis_len)
     for op in schedule:
-        if isinstance(op, PointwiseOp):
+        local = isinstance(op, (PointwiseOp, StencilOp))
+        axis = None if local else op.axis % len(shape)
+        if local or grid[axis] == 1:
             total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
+            if isinstance(op, StencilOp):
+                total += _halo_time(machine, shape, grid, op)
             continue
-        if isinstance(op, StencilOp):
-            total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
-            total += _stencil_halo_time(
-                machine, shape, op, p, part_axis=part_axis
-            )
-            continue
-        axis = op.axis % len(shape)
-        if axis != part_axis:
-            total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
-            continue
-        chunk_points = eta / (p * chunks)
-        carry_elems = eta / (shape[axis] * chunks)  # chunk of the cut plane
+        chain = grid[axis]
+        chunk_axis = next(a for a in cut + list(range(len(shape))) if a != axis)
+        local_chunk = shape[chunk_axis] // grid[chunk_axis]
+        eff_chunks = min(chunks, max(1, local_chunk))
+        chunk_points = eta / (p * eff_chunks)
+        # one chunk of the cut plane this rank's chain carries
+        carry_elems = eta / (shape[axis] * (p // chain)) / eff_chunks
         stage = machine.compute_time(
             chunk_points, op.flops_per_point, tiles=1
         ) + _msg_time(
             machine, carry_elems * machine.itemsize, concurrent=p
         )
-        total += (chunks + p - 1) * stage
+        total += (eff_chunks + chain - 1) * stage
     return total
 
 
@@ -124,11 +128,12 @@ def best_wavefront_chunks(
 ) -> tuple[int, float]:
     """Pick the pipeline granularity minimizing approximate wavefront time —
     the tuning knob a careful hand coder would sweep."""
+    grid = (1,) * part_axis + (nprocs,)
     limit = shape[0] if part_axis != 0 else shape[1]
     best = (1, float("inf"))
     c = 1
     while c <= min(limit, max_chunks):
-        t = wavefront_time(shape, nprocs, machine, schedule, part_axis, c)
+        t = blockgrid_time(shape, grid, machine, schedule, c)
         if t < best[1]:
             best = (c, t)
         c *= 2
@@ -149,17 +154,12 @@ def transpose_time(
     p = nprocs
     total = 0.0
     for op in schedule:
-        if isinstance(op, PointwiseOp):
-            total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
-            continue
+        total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
         if isinstance(op, StencilOp):
-            total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
-            total += _stencil_halo_time(
-                machine, shape, op, p, part_axis=part_axis
-            )
+            total += _halo_time(machine, shape, (1,) * part_axis + (p,), op)
+        if isinstance(op, (PointwiseOp, StencilOp)):
             continue
         axis = op.axis % len(shape)
-        total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
         if axis == part_axis and p > 1:
             # each rank exchanges (p-1)/p of its eta/p elements per transpose
             piece = eta / (p * p)

@@ -1,9 +1,12 @@
 """Baseline 2: dynamic block partitioning with full-array transposes.
 
-The array is block-partitioned along ``axis0``; sweeps along every other
-axis are local.  To sweep along ``axis0`` itself the data is redistributed
-(all-to-all "transpose") so that ``axis0`` becomes local and ``axis1`` is
-partitioned, the sweep runs locally, and the data is transposed back.
+The array is block-partitioned along ``part_axis`` — the block layout of
+:class:`BlockGridExecutor` over the grid ``(1,) * part_axis + (p,)`` — so
+sweeps along every other axis, pointwise ops and stencils run exactly as
+there.  To sweep along ``part_axis`` itself the data is redistributed
+(all-to-all "transpose") so that ``part_axis`` becomes local and
+``alt_axis`` is partitioned, the sweep runs locally, and the data is
+transposed back.
 
 This is the strategy's defining trade: perfect efficiency during each sweep,
 paid for by two all-to-alls moving (almost) the whole array per swept
@@ -17,26 +20,15 @@ from typing import Generator
 import numpy as np
 
 from repro.simmpi.comm import Comm
-from repro.simmpi.engine import run_programs
 from repro.simmpi.machine import MachineModel
 
-from .halo import slab_stencil
-from .ops import (
-    BinaryPointwiseOp,
-    BlockSweepOp,
-    CopyOp,
-    PointwiseOp,
-    StencilOp,
-    SweepOp,
-    scan_op,
-)
-from .slabops import as_named, local_slab_op, unwrap_named
+from .blockgrid import BlockGridExecutor
 from .tiles import axis_extents
 
 __all__ = ["TransposeExecutor"]
 
 
-class TransposeExecutor:
+class TransposeExecutor(BlockGridExecutor):
     """Dynamic block partitioning executor (transpose-based sweeps)."""
 
     def __init__(
@@ -62,93 +54,20 @@ class TransposeExecutor:
                 raise ValueError(
                     f"need nprocs <= extent of axis {ax} for block cuts"
                 )
-        self.nprocs = nprocs
-        self.shape = shape
-        self.machine = machine
+        super().__init__(
+            (1,) * part_axis + (nprocs,), shape, machine,
+            record_events=record_events,
+        )
         self.part_axis = part_axis
         self.alt_axis = alt_axis
-        self.record_events = record_events
-        self._spans = axis_extents(shape[part_axis], nprocs)
         self._alt_spans = axis_extents(shape[alt_axis], nprocs)
 
-    def run(self, arrays, schedule) -> "tuple":
-        single, named = as_named(arrays)
-        holders: list[dict] = [{} for _ in range(self.nprocs)]
-        for name, array in named.items():
-            array = np.asarray(array, dtype=np.float64)
-            if array.shape != self.shape:
-                raise ValueError("array shape mismatch")
-            for rank, (lo, hi) in enumerate(self._spans):
-                holders[rank][name] = _SlabHolder(
-                    np.ascontiguousarray(
-                        np.take(array, range(lo, hi), axis=self.part_axis)
-                    )
-                )
-        programs = [
-            self._rank_program(Comm(rank, self.nprocs), holders[rank],
-                               schedule)
-            for rank in range(self.nprocs)
-        ]
-        result = run_programs(
-            self.machine, programs, record_events=self.record_events
-        )
-        out = {
-            name: np.concatenate(
-                [holders[r][name].slab for r in range(self.nprocs)],
-                axis=self.part_axis,
-            )
-            for name in named
-        }
-        return unwrap_named(single, out), result
-
-    def _rank_program(
-        self, comm: Comm, holders: dict, schedule
+    def _cut_sweep(
+        self, comm: Comm, blocks: dict, op, axis: int, op_index: int
     ) -> Generator:
-        def get(name: str) -> np.ndarray:
-            if name not in holders:
-                raise KeyError(
-                    f"schedule references unknown array {name!r}"
-                )
-            return holders[name].slab
-
-        for op_index, op in enumerate(schedule):
-            if isinstance(op, StencilOp):
-                yield from slab_stencil(
-                    comm,
-                    get(op.array),
-                    op,
-                    self.part_axis,
-                    self.machine,
-                    (op_index + 1) * 100_000 + 50_000,
-                    out=get(op.out_array or op.array),
-                )
-            elif isinstance(op, (PointwiseOp, BinaryPointwiseOp, CopyOp)):
-                yield from local_slab_op(comm, op, get, self.machine)
-            elif isinstance(op, (SweepOp, BlockSweepOp)):
-                slab = get(op.array)
-                axis = op.axis % len(self.shape)
-                if axis != self.part_axis:
-                    n = self.shape[axis]
-                    scan_op(slab, op, 0, n, n, carry=None)
-                    yield from comm.compute(
-                        self.machine.compute_time(
-                            slab.size, op.flops_per_point, tiles=1
-                        ),
-                        points=slab.size,
-                    )
-                else:
-                    yield from self._transposed_sweep(
-                        comm, holders[op.array], op
-                    )
-            else:
-                raise TypeError(f"unsupported op {op!r}")
-        return comm.rank
-
-    def _transposed_sweep(
-        self, comm: Comm, holder: "_SlabHolder", op: SweepOp
-    ) -> Generator:
-        """Redistribute so ``part_axis`` is local, sweep, redistribute back."""
-        slab = holder.slab
+        """Redistribute so ``part_axis`` is local, sweep, redistribute back;
+        the rank's block of ``op.array`` is rebound to the returned data."""
+        slab = blocks[op.array]
         # forward transpose: split own slab along alt_axis, one piece per rank
         pieces = [
             np.ascontiguousarray(
@@ -162,31 +81,15 @@ class TransposeExecutor:
         )
         received = yield from comm.alltoall(pieces)
         # reassemble: full part_axis extent, own alt_axis span
-        work = np.concatenate(received, axis=self.part_axis)
-        n = self.shape[self.part_axis]
-        scan_op(work, op, 0, n, n, carry=None)
-        yield from comm.compute(
-            self.machine.compute_time(work.size, op.flops_per_point, tiles=1),
-            points=work.size,
-        )
+        work = np.concatenate(received, axis=axis)
+        yield from self._local_sweep(comm, work, op, axis)
         # backward transpose: split along part_axis, return pieces
         back_pieces = [
-            np.ascontiguousarray(
-                np.take(work, range(lo, hi), axis=self.part_axis)
-            )
-            for lo, hi in self._spans
+            np.ascontiguousarray(np.take(work, range(lo, hi), axis=axis))
+            for lo, hi in self._spans[axis]
         ]
         yield from comm.compute(
             self.machine.compute_time(work.size, ops=2.0), points=work.size
         )
         returned = yield from comm.alltoall(back_pieces)
-        holder.slab = np.concatenate(returned, axis=self.alt_axis)
-
-
-class _SlabHolder:
-    """Mutable cell so the driver sees slabs replaced during transposes."""
-
-    __slots__ = ("slab",)
-
-    def __init__(self, slab: np.ndarray):
-        self.slab = slab
+        blocks[op.array] = np.concatenate(returned, axis=self.alt_axis)

@@ -5,9 +5,9 @@ import pytest
 
 from repro.apps.bt import NCOMP, BTProblem, bt_class, bt_plan
 from repro.apps.workloads import random_field
+from repro.sweep.blockgrid import BlockGridExecutor
 from repro.sweep.multipart import MultipartExecutor
 from repro.sweep.ops import BlockSweepOp, PointwiseOp
-from repro.sweep.wavefront import WavefrontExecutor
 
 
 class TestBTProblem:
@@ -93,8 +93,8 @@ class TestBTDistributed:
         prob = BTProblem(shape=(10, 8, 8), steps=1)
         field = random_field(prob.field_shape)
         ref = prob.solve_sequential(field)
-        out, _ = WavefrontExecutor(
-            2, prob.field_shape, machine, chunks=4
+        out, _ = BlockGridExecutor(
+            (2,), prob.field_shape, machine, chunks=4
         ).run(field, prob.schedule())
         assert np.allclose(out, ref, atol=1e-9)
 

@@ -1,13 +1,14 @@
-"""Tests for the wavefront and transpose baseline executors."""
+"""Tests for the wavefront (one-axis block grid) and transpose baseline
+executors."""
 
 import numpy as np
 import pytest
 
 from repro.apps.workloads import random_field
+from repro.sweep.blockgrid import BlockGridExecutor
 from repro.sweep.ops import PointwiseOp, SweepOp, thomas_ops
 from repro.sweep.sequential import run_sequential
 from repro.sweep.transpose import TransposeExecutor
-from repro.sweep.wavefront import WavefrontExecutor
 
 
 def make_schedule(shape):
@@ -27,8 +28,8 @@ class TestWavefront:
         field = random_field(shape)
         sched = make_schedule(shape)
         ref = run_sequential(field, sched)
-        out, _ = WavefrontExecutor(
-            p, shape, machine, chunks=chunks
+        out, _ = BlockGridExecutor(
+            (p,), shape, machine, chunks=chunks
         ).run(field, sched)
         assert np.allclose(out, ref, atol=1e-12)
 
@@ -37,8 +38,8 @@ class TestWavefront:
         field = random_field(shape)
         sched = make_schedule(shape)
         ref = run_sequential(field, sched)
-        out, _ = WavefrontExecutor(
-            4, shape, machine, part_axis=1
+        out, _ = BlockGridExecutor(
+            (1, 4), shape, machine
         ).run(field, sched)
         assert np.allclose(out, ref, atol=1e-12)
 
@@ -46,10 +47,10 @@ class TestWavefront:
         shape = (16, 16, 8)
         field = random_field(shape)
         sched = [SweepOp(axis=0, mult=0.5)]
-        _, few = WavefrontExecutor(4, shape, machine, chunks=2).run(
+        _, few = BlockGridExecutor((4,), shape, machine, chunks=2).run(
             field, sched
         )
-        _, many = WavefrontExecutor(4, shape, machine, chunks=8).run(
+        _, many = BlockGridExecutor((4,), shape, machine, chunks=8).run(
             field, sched
         )
         assert few.message_count == (4 - 1) * 2
@@ -58,18 +59,18 @@ class TestWavefront:
     def test_local_sweeps_have_no_messages(self, machine):
         shape = (12, 12, 12)
         field = random_field(shape)
-        _, res = WavefrontExecutor(4, shape, machine).run(
+        _, res = BlockGridExecutor((4,), shape, machine).run(
             field, [SweepOp(axis=1, mult=0.5), SweepOp(axis=2, mult=0.5)]
         )
         assert res.message_count == 0
 
     def test_validation(self, machine):
         with pytest.raises(ValueError):
-            WavefrontExecutor(20, (10, 10), machine)
+            BlockGridExecutor((20,), (10, 10), machine)
         with pytest.raises(ValueError):
-            WavefrontExecutor(2, (10, 10), machine, part_axis=5)
+            BlockGridExecutor((1,) * 5 + (2,), (10, 10), machine)
         with pytest.raises(ValueError):
-            WavefrontExecutor(2, (10, 10), machine, chunks=0)
+            BlockGridExecutor((2,), (10, 10), machine, chunks=0)
 
 
 class TestTranspose:

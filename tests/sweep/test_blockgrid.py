@@ -1,12 +1,26 @@
-"""Tests for the 2-D processor-grid block/wavefront executor."""
+"""Tests for the per-axis processor-grid block/wavefront executor."""
+
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.workloads import random_field
-from repro.sweep.blockgrid import BlockGridExecutor, blockgrid_time
-from repro.sweep.ops import PointwiseOp, SweepOp, star_laplacian, thomas_ops
+from repro.simmpi.machine import MachineModel
+from repro.sweep.blockgrid import BlockGridExecutor
+from repro.sweep.modeled import blockgrid_time, transpose_time
+from repro.sweep.ops import (
+    PointwiseOp,
+    StencilOp,
+    SweepOp,
+    star_laplacian,
+    thomas_ops,
+)
 from repro.sweep.sequential import run_sequential
+from repro.sweep.transpose import TransposeExecutor
 
 
 def make_schedule(shape):
@@ -131,3 +145,125 @@ class TestBlockGridModel:
                 for c in (4, 8, 16, 32)
             )
             assert tm < best_bg
+
+
+class TestOneRankChain:
+    """A chain of one rank neither pipelines nor transposes: its sweep is
+    one local compute, which is what the closed forms charge."""
+
+    def test_single_rank_makespans_equal_closed_forms(self, machine):
+        shape = (12, 10, 8)
+        field = random_field(shape)
+        sched = make_schedule(shape) + [
+            SweepOp(axis=0, mult=0.5, reverse=True), star_laplacian(3)
+        ]
+        _, grid = BlockGridExecutor((1,), shape, machine).run(field, sched)
+        _, moved = TransposeExecutor(1, shape, machine).run(field, sched)
+        assert grid.makespan == blockgrid_time(shape, (1,), machine, sched)
+        assert moved.makespan == transpose_time(shape, 1, machine, sched)
+        assert grid.makespan == moved.makespan
+
+    def test_uncut_axis_sweep_is_one_local_compute(self, machine):
+        shape = (12, 10, 8)
+        field = random_field(shape)
+        sched = [SweepOp(axis=1, mult=0.5, reverse=True)]
+        out, res = BlockGridExecutor(
+            (3, 1), shape, machine, record_events=True
+        ).run(field, sched)
+        assert res.message_count == 0
+        computes = Counter(
+            e.rank for e in res.trace.events if e.kind == "compute"
+        )
+        assert computes == {0: 1, 1: 1, 2: 1}
+        assert np.array_equal(out, run_sequential(field, sched))
+
+
+def star_stencil(reach) -> StencilOp:
+    """A star stencil of per-side widths ``reach`` (any dimensionality)."""
+
+    def fn(padded):
+        core = tuple(
+            slice(lo, n - hi) for n, (lo, hi) in zip(padded.shape, reach)
+        )
+        out = padded[core].copy()
+        for axis, (lo, hi) in enumerate(reach):
+            for offset in range(-lo, hi + 1):
+                if offset:
+                    sel = list(core)
+                    sel[axis] = slice(
+                        core[axis].start + offset, core[axis].stop + offset
+                    )
+                    out += 0.1 * padded[tuple(sel)]
+        return out
+
+    return StencilOp(fn=fn, reach=tuple(reach), name="star")
+
+
+@st.composite
+def block_cases(draw):
+    """(shape, grid, transpose (p, part_axis, alt_axis), chunks, schedule):
+    a grid cuts one or two axes (trailing unit factors dropped or kept), the
+    schedule sweeps every axis forward and backward, with a pointwise op and
+    a star stencil whose reach fits every block."""
+    ndim = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.integers(4, 9)) for _ in range(ndim))
+    cut = draw(st.lists(st.integers(0, ndim - 1), min_size=1, max_size=2,
+                        unique=True))
+    grid = [1] * ndim
+    for axis in cut:
+        grid[axis] = draw(st.integers(1, 3))
+    length = draw(st.integers(max(cut) + 1, ndim))
+    grid = tuple(grid[:length])
+    part, alt = draw(st.permutations(range(ndim)))[:2]
+    p = draw(st.integers(1, 3))
+    chunks = draw(st.integers(1, min(n // g for n, g in zip(shape, grid))))
+    ops = [
+        SweepOp(axis=axis, mult=mult, reverse=reverse)
+        for axis in range(ndim)
+        for mult, reverse in ((0.3, False), (0.2, True))
+    ]
+    ops += [
+        PointwiseOp(lambda b: 0.5 * b + 1.0, name="affine"),
+        star_stencil([
+            (draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+            for _ in range(ndim)
+        ]),
+    ]
+    return shape, grid, (p, part, alt), chunks, draw(st.permutations(ops))
+
+
+class TestBlockExecutorsProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=block_cases())
+    def test_match_sequential_and_count_chain_messages(self, case):
+        shape, grid, (p, part, alt), chunks, sched = case
+        machine = MachineModel(tile_overhead=1e-6)
+        field = random_field(shape)
+        ref = run_sequential(field, sched)
+        out, res = BlockGridExecutor(
+            grid, shape, machine, chunks=chunks, record_events=True
+        ).run(field, sched)
+        assert np.allclose(out, ref, atol=1e-12)
+        nprocs = math.prod(grid)
+        sent = Counter(
+            e.tag // 100_000 - 1 for e in res.trace.events if e.kind == "send"
+        )
+        for index, op in enumerate(sched):
+            # (chain length, messages per link of the chain)
+            if isinstance(op, StencilOp):
+                links = [(g, sum(map(bool, op.reach[axis])))
+                         for axis, g in enumerate(grid)]
+            elif isinstance(op, SweepOp) and op.axis < len(grid):
+                links = [(grid[op.axis], chunks)]
+            else:
+                links = []
+            expected = sum(
+                (chain - 1) * per_link * (nprocs // chain)
+                for chain, per_link in links
+            )
+            assert sent[index] == expected, (index, op)
+
+        out, res = TransposeExecutor(
+            p, shape, machine, part_axis=part, alt_axis=alt
+        ).run(field, sched)
+        assert np.allclose(out, ref, atol=1e-12)

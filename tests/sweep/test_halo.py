@@ -1,36 +1,21 @@
-"""Direct tests for the slab halo-exchange helper."""
+"""Slab halo exchange: a one-op stencil schedule on the one-axis block
+grids ``(p,)`` and ``(1, p)``."""
 
 import numpy as np
 import pytest
 
-from repro.simmpi.comm import Comm
-from repro.simmpi.engine import run_programs
 from repro.simmpi.machine import MachineModel
-from repro.sweep.halo import slab_stencil
+from repro.sweep.blockgrid import BlockGridExecutor
 from repro.sweep.ops import StencilOp, star_laplacian
 from repro.sweep.sequential import run_sequential
-from repro.sweep.tiles import axis_extents
 
 
 def run_slab_stencil(field, op, nprocs, part_axis=0):
-    machine = MachineModel()
-    spans = axis_extents(field.shape[part_axis], nprocs)
-    slabs = [
-        np.ascontiguousarray(
-            np.take(field, range(lo, hi), axis=part_axis)
-        )
-        for lo, hi in spans
-    ]
-
-    def prog(comm, slab):
-        yield from slab_stencil(comm, slab, op, part_axis, machine, 1000)
-        return None
-
-    run_programs(
-        machine,
-        [prog(Comm(r, nprocs), slabs[r]) for r in range(nprocs)],
+    grid = (1,) * part_axis + (nprocs,)
+    out, _ = BlockGridExecutor(grid, field.shape, MachineModel()).run(
+        field, [op]
     )
-    return np.concatenate(slabs, axis=part_axis)
+    return out
 
 
 class TestSlabStencil:

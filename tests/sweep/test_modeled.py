@@ -6,15 +6,15 @@ import pytest
 from repro.apps.workloads import random_field
 from repro.core.api import plan_multipartitioning
 from repro.simmpi.machine import MachineModel
+from repro.sweep.blockgrid import BlockGridExecutor
 from repro.sweep.modeled import (
     best_wavefront_chunks,
+    blockgrid_time,
     transpose_time,
-    wavefront_time,
 )
 from repro.sweep.multipart import MultipartExecutor, best_processor_count
 from repro.sweep.ops import PointwiseOp, SweepOp, thomas_ops
 from repro.sweep.transpose import TransposeExecutor
-from repro.sweep.wavefront import WavefrontExecutor
 
 
 def machine() -> MachineModel:
@@ -61,10 +61,10 @@ class TestModelVsSimulation:
         m = machine()
         shape = (16, 16, 16)
         sched = schedule(shape)
-        _, res = WavefrontExecutor(p, shape, m, chunks=chunks).run(
+        _, res = BlockGridExecutor((p,), shape, m, chunks=chunks).run(
             random_field(shape), sched
         )
-        predicted = wavefront_time(shape, p, m, sched, chunks=chunks)
+        predicted = blockgrid_time(shape, (p,), m, sched, chunks=chunks)
         assert predicted == pytest.approx(res.makespan, rel=0.5)
 
 
@@ -90,8 +90,8 @@ class TestModelBehaviour:
         shape = (64, 64, 64)
         sched = [SweepOp(axis=0, mult=0.5)]
         c_best, t_best = best_wavefront_chunks(shape, 8, m, sched)
-        t_one = wavefront_time(shape, 8, m, sched, chunks=1)
-        t_max = wavefront_time(shape, 8, m, sched, chunks=64)
+        t_one = blockgrid_time(shape, (8,), m, sched, chunks=1)
+        t_max = blockgrid_time(shape, (8,), m, sched, chunks=64)
         assert t_best <= t_one and t_best <= t_max
         assert 1 < c_best < 64
 

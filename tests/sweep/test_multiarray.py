@@ -21,7 +21,6 @@ from repro.sweep.ops import (
 )
 from repro.sweep.sequential import run_sequential
 from repro.sweep.transpose import TransposeExecutor
-from repro.sweep.wavefront import WavefrontExecutor
 
 
 def two_array_schedule(shape):
@@ -98,7 +97,7 @@ class TestDistributedMultiArray:
         arrays = fields(shape)
         sched = two_array_schedule(shape)
         ref = run_sequential(arrays, sched)
-        out, _ = WavefrontExecutor(p, shape, machine).run(arrays, sched)
+        out, _ = BlockGridExecutor((p,), shape, machine).run(arrays, sched)
         for name in ref:
             assert np.allclose(out[name], ref[name], atol=1e-12), name
 

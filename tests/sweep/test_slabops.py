@@ -1,4 +1,5 @@
-"""Tests for the shared slab-op dispatch and input normalization."""
+"""Tests for the block executors' local-op dispatch and input
+normalization."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from repro.simmpi.comm import Comm
 from repro.simmpi.engine import run_programs
 from repro.simmpi.machine import MachineModel
 from repro.sweep.ops import BinaryPointwiseOp, CopyOp, PointwiseOp, SweepOp
-from repro.sweep.slabops import as_named, local_slab_op, unwrap_named
+from repro.sweep.blockgrid import as_named, local_slab_op, unwrap_named
 
 
 def run_local(op, slabs):

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from repro.apps.workloads import random_field
 from repro.core.api import plan_multipartitioning
+from repro.sweep.blockgrid import BlockGridExecutor
 from repro.sweep.multipart import MultipartExecutor
 from repro.sweep.ops import StencilOp, star_laplacian
 from repro.sweep.sequential import run_sequential
 from repro.sweep.transpose import TransposeExecutor
-from repro.sweep.wavefront import WavefrontExecutor
 
 
 def asymmetric_stencil() -> StencilOp:
@@ -88,7 +88,7 @@ class TestDistributedStencil:
         field = random_field(shape)
         sched = [star_laplacian(3), asymmetric_stencil()]
         ref = run_sequential(field, sched)
-        out, _ = WavefrontExecutor(p, shape, machine).run(field, sched)
+        out, _ = BlockGridExecutor((p,), shape, machine).run(field, sched)
         assert np.allclose(out, ref, atol=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, 4])

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def run_cli(capsys, *argv) -> str:
@@ -110,6 +115,30 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["bogus"])
+
+    def test_cached_parser_matches_fresh_processes(self, capsys):
+        """``main`` reuses one parser per process; calls with different
+        subcommands (and a default after an explicit flag) print exactly
+        what a fresh ``python -m repro`` prints."""
+        calls = [
+            ["plan", "--shape", "128,128,16", "-p", "4",
+             "--objective", "volume"],
+            ["list", "-p", "8"],
+            ["plan", "--shape", "128,128,16", "-p", "4"],
+        ]
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "repro", *argv], env=env,
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for argv in calls
+        ]
+        in_process = [run_cli(capsys, *argv) for argv in calls]
+        assert build_parser() is build_parser()
+        assert in_process == fresh
+        assert fresh[0] != fresh[2]
 
 
 class TestExtensionCommands:
