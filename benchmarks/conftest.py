@@ -2,16 +2,18 @@
 
 Every bench regenerates one of the paper's tables/figures (or an ablation)
 and *prints* the regenerated rows — run with ``pytest benchmarks/
---benchmark-only -s`` to see them; ``report`` also appends to
-``benchmarks/results.txt`` so a plain ``--benchmark-only`` run leaves the
-artifacts on disk for EXPERIMENTS.md.
+--benchmark-only -s`` to see them; ``report`` also writes them to
+``benchmarks/results.txt`` at the session's end, so a plain
+``--benchmark-only`` run leaves the artifacts on disk for EXPERIMENTS.md.
 
-Benches may pass structured ``data`` alongside the text block; everything
-collected in a session is written to ``BENCH_profile.json`` at the repo
-root, each record stamped with where it was measured (git sha, Python
-version, CPU count, platform).  Every session is also appended as one line
-to ``BENCH_history.jsonl``, so the perf/profile trajectory accumulates
-across commits instead of holding only the last session's subset.
+Benches may pass structured ``data`` alongside the text block; it lands
+in ``BENCH_profile.json`` at the repo root, each record stamped with where
+it was measured (git sha, Python version, CPU count, platform) and the
+bench module that made it.  A session that runs only some benches replaces
+only their blocks and records (:func:`merge_entries`), so the committed
+artifacts keep every other bench's last result.  Every session is also
+appended as one line to ``BENCH_history.jsonl``, so the perf/profile
+trajectory accumulates across commits.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import os
 import pathlib
 import platform
+import re
 import subprocess
 
 import pytest
@@ -30,14 +33,47 @@ _RESULTS = pathlib.Path(__file__).parent / "results.txt"
 _PROFILE_JSON = _ROOT / "BENCH_profile.json"
 _HISTORY_JSONL = _ROOT / "BENCH_history.jsonl"
 
+_BLOCK = re.compile(r"^===== (.*) =====$", re.MULTILINE)
+
+#: this session's records and results.txt blocks, each with its "module"
 _records: list[dict] = []
+_blocks: list[dict] = []
+
+
+def merge_entries(old: list[dict], new: list[dict]) -> list[dict]:
+    """``old`` with every entry of a bench module that ran replaced by
+    ``new``.  An old entry belongs to a module that ran when its
+    ``"module"`` is one of ``new``'s, or, lacking one, when its
+    ``"title"`` is.  The first replaced entry's place takes the new
+    entries, the rest are appended: entries keep their order."""
+    ran = {entry["module"] for entry in new}
+    owner = {entry["title"]: entry["module"] for entry in new}
+    merged: list[dict] = []
+    placed: set = set()
+    for entry in old:
+        module = entry.get("module") or owner.get(entry["title"])
+        if module not in ran:
+            merged.append(entry)
+        elif module not in placed:
+            placed.add(module)
+            merged += [e for e in new if e["module"] == module]
+    return merged + [e for e in new if e["module"] not in placed]
+
+
+def _read_blocks(text: str) -> list[dict]:
+    """The ``===== title =====`` blocks of results.txt, in order."""
+    heads = list(_BLOCK.finditer(text))
+    # a block's text runs to the newline that opens the next block
+    ends = [head.start() - 1 for head in heads[1:]] + [len(text)]
+    return [
+        {"title": head.group(1), "text": text[head.end() + 1:end]}
+        for head, end in zip(heads, ends)
+    ]
 
 
 def pytest_configure(config):
-    # start each benchmark session with fresh artifacts
-    if _RESULTS.exists():
-        _RESULTS.unlink()
     _records.clear()
+    _blocks.clear()
 
 
 def _provenance() -> dict:
@@ -57,12 +93,21 @@ def _provenance() -> dict:
 
 
 def pytest_sessionfinish(session, exitstatus):
+    if _blocks:
+        old = _read_blocks(_RESULTS.read_text()) if _RESULTS.exists() else []
+        _RESULTS.write_text("".join(
+            f"\n===== {block['title']} =====\n{block['text']}"
+            for block in merge_entries(old, _blocks)
+        ))
     if not _records:
         return
     provenance = _provenance()
     records = [{**record, "provenance": provenance} for record in _records]
+    old = []
+    if _PROFILE_JSON.exists():
+        old = json.loads(_PROFILE_JSON.read_text())["records"]
     with _PROFILE_JSON.open("w") as fh:
-        json.dump({"records": records}, fh, indent=2)
+        json.dump({"records": merge_entries(old, records)}, fh, indent=2)
         fh.write("\n")
     finished = datetime.datetime.now(datetime.timezone.utc)
     with _HISTORY_JSONL.open("a") as fh:
@@ -73,20 +118,20 @@ def pytest_sessionfinish(session, exitstatus):
         }) + "\n")
 
 
-@pytest.fixture(scope="session")
-def report():
-    """Print a regenerated artifact and persist it to results.txt.
+@pytest.fixture
+def report(request):
+    """Print a regenerated artifact; the session's end merges it into
+    results.txt.
 
     ``data`` (optional) attaches a JSON-serializable payload that lands in
     ``BENCH_profile.json`` under the same title.
     """
+    module = request.module.__name__.rpartition(".")[2]
 
     def _report(title: str, text: str, data=None) -> None:
-        block = f"\n===== {title} =====\n{text}\n"
-        print(block)
-        with _RESULTS.open("a") as fh:
-            fh.write(block)
+        print(f"\n===== {title} =====\n{text}\n")
+        _blocks.append({"title": title, "text": f"{text}\n", "module": module})
         if data is not None:
-            _records.append({"title": title, "data": data})
+            _records.append({"title": title, "data": data, "module": module})
 
     return _report

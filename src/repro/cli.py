@@ -322,19 +322,16 @@ def _run_sweep(args, out) -> int:
     failed = any("error" in r for r in results)
 
     if args.json:
-        json.dump(
-            {
-                "schema": SCHEMA_TAG,
-                "results": results,
-                "stats": {
-                    **stats.to_dict(),
-                    "sources": runner.last_sources,
-                    "metrics": registry.snapshot(),
-                },
+        # one-shot dumps takes the C encoder; dump to a stream would not
+        out.write(json.dumps({
+            "schema": SCHEMA_TAG,
+            "results": results,
+            "stats": {
+                **stats.to_dict(),
+                "sources": runner.last_sources,
+                "metrics": registry.snapshot(),
             },
-            out,
-        )
-        out.write("\n")
+        }) + "\n")
         return 1 if failed else 0
 
     rows = []

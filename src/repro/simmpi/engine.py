@@ -62,11 +62,15 @@ float expressions in the same order (``clock = start + send_cpu_time``,
 ``blocked += arrival - clock`` only when ``arrival >= clock``, ``clock =
 start + recv_cpu_time``, per-rank sums in program order) elementwise in
 float64, exactly as the engine's Python floats, so every
-:class:`RunResult` number equals the engine's bit for bit.  The engine's
-result cannot depend on interleaving here: the op lists are fixed, each
-receive names one FIFO channel, sends never block and no clock feeds back
-into control flow, so replaying op index by op index is one more valid
-interleaving.
+:class:`RunResult` number equals the engine's bit for bit.  The blocked
+term is taken as ``start - clock``: ``arrival - clock`` for a late
+message, ``+0.0`` (which leaves the sum unchanged) for an early one.
+Receive step ``k`` takes send step ``k``'s message (pairing), so the
+timing table is indexed by a send counter and each receive costs seven
+numpy calls.  The engine's result cannot depend on interleaving here:
+the op lists are fixed, each receive names one FIFO channel, sends never
+block and no clock feeds back into control flow, so replaying op index by
+op index is one more valid interleaving.
 
 That argument needs a non-bus network (the shared ``_bus_free_at`` depends
 on the global send order), no fault injection, no wildcard, timed or
@@ -879,31 +883,37 @@ def replay_lockstep(machine: MachineModel, program: Lockstep) -> RunResult:
             nbytes[first].tolist(), src[first].tolist(), dst[first].tolist()
         )
     ], dtype=float).reshape(-1, 3)[inverse.ravel()]
-    # row k: (send cpu, wire time, receive cpu) of send step k, by sender
-    rows = iter(timings.T.reshape(3, len(sends), nprocs).transpose(1, 0, 2))
+    # (send cpu, wire time, receive cpu) of send step k by sender; the
+    # paired receive step k charges its receive cpu by receiver
+    send_cpu, wire, recv_cpu = timings.T.reshape(3, len(sends), nprocs)
+    sources = [step.peer for step in steps if step.kind is RecvOp]
+    if sources:
+        row = np.arange(len(sources))[:, None]
+        recv_cpu = recv_cpu[row, np.stack(sources)]
     clock, compute, comm, blocked = (np.zeros(nprocs) for _ in range(4))
-    in_flight: dict[int, tuple] = {}
-    for index, step in enumerate(steps):
-        if step.kind is ComputeOp:
+    in_flight: deque = deque()  # receive step k takes send step k's
+    sent = received = 0
+    for step in steps:
+        kind = step.kind
+        if kind is ComputeOp:
             clock += step.seconds
             compute += step.seconds
-        elif step.kind is SendOp:
-            send_cpu, wire, recv_cpu = next(rows)
+        elif kind is SendOp:
             start = clock
-            clock = start + send_cpu
+            clock = start + send_cpu[sent]
             comm += clock - start
-            in_flight[index] = (clock + wire, recv_cpu)
-        elif step.kind is RecvOp:
-            arrival, cpu = in_flight.pop(step.match)
-            source = step.peer
-            arrival = arrival[source]
-            late = arrival >= clock
-            start = np.where(late, arrival, clock)
-            blocked = np.where(late, blocked + (arrival - clock), blocked)
-            clock = start + cpu[source]
+            in_flight.append(clock + wire[sent])
+            sent += 1
+        elif kind is RecvOp:
+            # max(arrival, clock) - clock is arrival - clock for a late
+            # message, else +0.0: the engine's conditional, bit for bit
+            start = np.maximum(in_flight.popleft()[step.peer], clock)
+            blocked += start - clock
+            clock = start + recv_cpu[received]
             comm += clock - start
+            received += 1
         else:
-            raise TypeError(f"lockstep replay cannot run {step.kind.__name__}")
+            raise TypeError(f"lockstep replay cannot run {kind.__name__}")
     compute_by_rank = tuple(compute.tolist())
     trace = Trace(enabled=False, message_count=len(src),
                   total_bytes=int(nbytes.sum()),

@@ -20,6 +20,16 @@ and the index of the matched send.  Each rank's tuple of primitive ops
 entries (the schedule op an entry comes from and the tiles it covers) are
 derived from it on first use.
 
+A sweep's per-sweep work is done once per sweep, not once per step.  One
+read-only tag table (row ``k`` tags phase ``k``'s receives and phase
+``k - 1``'s sends) serves every phase, the steps take row and slab-column
+views of it and of the slab sums, and the compute charges are computed
+once per ``(axis, flops_per_point, tiles)`` per compiler (SP's twelve
+sweeps share three).  The coefficients a schedule carries are built once
+per ``(n, coefficients)`` too (:func:`~repro.sweep.recurrence.thomas_factor`,
+:func:`~repro.sweep.ops.block_thomas_ops`), although a skeleton run never
+reads them.
+
 The program is the same whoever watches it.  The op-label and phase-span
 marks that traces and the verifier's witnesses read are a fold over it
 (:attr:`CompiledSchedule.marked`): each step's site names its schedule op
@@ -344,24 +354,32 @@ class ScheduleCompiler:
             schedule, Lockstep(tuple(steps), self.partitioning.nprocs)
         )
 
-    def _charge(self, points: np.ndarray, flops: float, tiles: int):
-        """``machine.compute_time`` over an array of point counts, called
-        once per distinct count."""
-        values, inverse = np.unique(points, return_inverse=True)
-        return np.array([
-            self.machine.compute_time(n, flops, tiles=tiles)
-            for n in values.tolist()
-        ])[inverse.ravel()].reshape(points.shape)
+    def _charge(self, axis: int | None, flops: float, tiles: int):
+        """``machine.compute_time`` of each rank's points in each slab along
+        ``axis`` (of all its points when ``axis`` is ``None``), called once
+        per distinct count and memoized per ``(axis, flops, tiles)``:
+        read-only."""
+        key = ("charge", axis, flops, tiles)
+        if key not in self._geo._memo:
+            geo = self._geo
+            points = geo.points if axis is None else geo.slab_sums(axis)[0]
+            values, inverse = np.unique(points, return_inverse=True)
+            seconds = np.array([
+                self.machine.compute_time(n, flops, tiles=tiles)
+                for n in values.tolist()
+            ])[inverse.ravel()].reshape(points.shape)
+            seconds.flags.writeable = False
+            geo._memo[key] = seconds
+        return self._geo._memo[key]
 
     def _whole(self, index: int, op) -> Step:
         """The compute step of an op over all of every rank's tiles."""
-        points = self._geo.points
         return Step(
             ComputeOp,
             seconds=self._charge(
-                points, op.flops_per_point, self.partitioning.tiles_per_rank
+                None, op.flops_per_point, self.partitioning.tiles_per_rank
             ),
-            points=points,
+            points=self._geo.points,
             site=(index, 0, self._geo.tiles),
         )
 
@@ -370,55 +388,67 @@ class ScheduleCompiler:
         tiles, scan them, forward their boundary planes downstream.  The
         neighbor property sends all of a phase's carries to one rank, so
         every rank's steps are the same; phase ``k``'s receives are matched
-        by phase ``k - 1``'s sends."""
+        by phase ``k - 1``'s sends.  Row ``k`` of one tag table tags both.
+
+        Aggregated, each phase sends one message (under the phase's site);
+        otherwise one per tile, tagged ``tag * 10**6`` plus the receiving
+        tile's linear index, under a one-tile site."""
         mp, geo = self.partitioning, self._geo
         axis = op.axis % self.grid.ndim
         step = -1 if op.reverse else +1
         points, planes = geo.slab_sums(axis)
         per_slab = mp.tiles_per_slab_per_rank(axis)
-        seconds = self._charge(points, op.flops_per_point, per_slab)
+        seconds = self._charge(axis, op.flops_per_point, per_slab)
         gamma = points.shape[1]
+        source, dest = mp._neighbors[(axis, -step)], mp._neighbors[(axis, step)]
+        tag = (index + 1) * 100_000
+        tags = np.add.outer(
+            np.arange(tag, tag + gamma), np.zeros(mp.nprocs, dtype=np.int64)
+        )
+        tags.flags.writeable = False
+        if not self.aggregate:
+            order = geo.slab_order(axis)
+            shift = step * prod(self.grid.gammas[axis + 1:])
 
-        def carries(phase, slab, tag, shift):
-            """(tags, bytes, site) of each carry message of the slab: one
-            aggregated (under the phase's ``site``), or one per tile tagged
-            ``tag * 10**6`` plus the receiving tile's linear index
-            (``shift`` finds it from the sending tile)."""
-            if self.aggregate:
-                return [(np.full(mp.nprocs, tag), planes[:, slab], site)]
-            flat = geo.slab_order(axis)[:, slab]
+        def per_tile(phase, slab, row, offset):
+            """(tags, flat tile index, site) of each tile carry of a slab"""
+            flat = order[:, slab]
             return [
-                (tag * 1_000_000 + flat[:, i] + shift,
-                 geo.planes[axis][flat[:, i]],
+                (row * 1_000_000 + flat[:, i] + offset, flat[:, i],
                  (index, phase, functools.partial(geo.tile, axis, slab, i)))
                 for i in range(per_slab)
             ]
 
-        tag = (index + 1) * 100_000
-        shift = step * prod(self.grid.gammas[axis + 1:])
-        sent: Sequence[int] = ()
         for phase in range(gamma):
             slab = gamma - 1 - phase if op.reverse else phase
             site = (index, phase, functools.partial(geo.slab, axis, slab))
-            if phase > 0:
+            if phase == 0:
+                pass
+            elif self.aggregate:
+                steps.append(Step(RecvOp, source, tags[phase],
+                                  match=len(steps) - 1, site=site))
+            else:
+                sent = len(steps) - per_slab
                 steps += [
-                    Step(RecvOp, mp._neighbors[(axis, -step)], tags,
-                         match=match, site=where)
-                    for match, (tags, _, where) in zip(
-                        sent, carries(phase, slab, tag + phase, 0)
+                    Step(RecvOp, source, tile_tags, match=sent + i, site=where)
+                    for i, (tile_tags, _, where) in enumerate(
+                        per_tile(phase, slab, tags[phase], 0)
                     )
                 ]
-            steps.append(Step(
-                ComputeOp, seconds=seconds[:, slab], points=points[:, slab],
-                site=site,
-            ))
-            if phase < gamma - 1:
-                out = carries(phase, slab, tag + phase + 1, shift)
-                sent = range(len(steps), len(steps) + len(out))
+            steps.append(Step(ComputeOp, seconds=seconds[:, slab],
+                              points=points[:, slab], site=site))
+            if phase == gamma - 1:
+                pass
+            elif self.aggregate:
+                steps.append(Step(SendOp, dest, tags[phase + 1],
+                                  planes[:, slab], site=site))
+            else:
                 steps += [
-                    Step(SendOp, mp._neighbors[(axis, step)], tags, nbytes,
+                    Step(SendOp, dest, tile_tags, geo.planes[axis][flat],
                          site=where)
-                    for tags, nbytes, where in out
+                    for tile_tags, flat, where in per_tile(
+                        phase, slab, tags[phase + 1], shift
+                    )
                 ]
 
     def _stencil(self, index, op, steps):

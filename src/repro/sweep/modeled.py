@@ -22,7 +22,11 @@ import numpy as np
 from repro.core.cost import NetworkScaling
 from repro.simmpi.machine import MachineModel
 
-from .ops import PointwiseOp, StencilOp
+from .ops import BinaryPointwiseOp, CopyOp, PointwiseOp, StencilOp
+
+#: ops charged as local compute over every rank's block, as both executors
+#: run them
+_LOCAL = (PointwiseOp, BinaryPointwiseOp, CopyOp, StencilOp)
 
 __all__ = [
     "blockgrid_time",
@@ -95,7 +99,7 @@ def blockgrid_time(
     p = math.prod(grid)
     total = 0.0
     for op in schedule:
-        local = isinstance(op, (PointwiseOp, StencilOp))
+        local = isinstance(op, _LOCAL)
         axis = None if local else op.axis % len(shape)
         if local or grid[axis] == 1:
             total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
@@ -157,7 +161,7 @@ def transpose_time(
         total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
         if isinstance(op, StencilOp):
             total += _halo_time(machine, shape, (1,) * part_axis + (p,), op)
-        if isinstance(op, (PointwiseOp, StencilOp)):
+        if isinstance(op, _LOCAL):
             continue
         axis = op.axis % len(shape)
         if axis == part_axis and p > 1:

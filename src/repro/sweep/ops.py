@@ -8,6 +8,7 @@ the test-suite proves all strategies compute the same thing.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable
 
 import numpy as np
@@ -265,21 +266,40 @@ def block_thomas_ops(
 ) -> list["BlockSweepOp"]:
     """The two matrix sweeps of a block-tridiagonal (NAS BT style) solve
     along ``axis`` of extent ``n`` with constant ``c x c`` block
-    coefficients."""
-    from .blockrec import (
-        block_thomas_backward_coeffs,
-        block_thomas_factor,
-        block_thomas_forward_coeffs,
+    coefficients.  Their coefficient arrays are computed once per ``(n, A,
+    B, C)`` and shared read-only."""
+    A, B, C = (np.asarray(m, dtype=np.float64) for m in (A, B, C))
+    fm, fs, bm, bs = _block_thomas_coeffs(
+        n, (A.shape, B.shape, C.shape), A.tobytes(), B.tobytes(), C.tobytes()
     )
-
-    Cprime = block_thomas_factor(n, A, B, C)
-    fm, fs = block_thomas_forward_coeffs(n, A, B, Cprime)
-    bm, bs = block_thomas_backward_coeffs(Cprime)
-    c = Cprime.shape[-1]
-    flops = 4.0 * c  # per array element: 4c^2 flops per c-vector
+    flops = 4.0 * fm.shape[-1]  # per array element: 4c^2 flops per c-vector
     return [
         BlockSweepOp(axis=axis, mult=fm, scale=fs, reverse=False,
                      flops_per_point=flops),
         BlockSweepOp(axis=axis, mult=bm, scale=bs, reverse=True,
                      flops_per_point=flops),
     ]
+
+
+@functools.lru_cache(maxsize=32)
+def _block_thomas_coeffs(
+    n: int, shapes: tuple, *blocks: bytes
+) -> tuple[np.ndarray, ...]:
+    """(forward mult, forward scale, backward mult, backward scale)"""
+    from .blockrec import (
+        block_thomas_backward_coeffs,
+        block_thomas_factor,
+        block_thomas_forward_coeffs,
+    )
+
+    A, B, C = (
+        np.frombuffer(raw).reshape(shape) for raw, shape in zip(blocks, shapes)
+    )
+    Cprime = block_thomas_factor(n, A, B, C)
+    coeffs = (
+        *block_thomas_forward_coeffs(n, A, B, Cprime),
+        *block_thomas_backward_coeffs(Cprime),
+    )
+    for arr in coeffs:
+        arr.flags.writeable = False
+    return coeffs

@@ -21,6 +21,8 @@ the sequential one.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -91,10 +93,21 @@ def thomas_factor(
 
     Returns ``(cprime, denom_inv)`` — the scalar sequences of the Thomas
     algorithm.  They depend only on (n, a, b, c), so in a distributed solve
-    every rank precomputes them locally: no communication, O(n) work.
+    every rank precomputes them locally: no communication, O(n) work.  They
+    are computed once per ``(n, a, b, c)`` (keyed by the coefficients'
+    float64 bytes, so ``-0.0`` and ``0.0`` stay apart) and shared
+    read-only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    return _thomas_factor(n, np.array((a, b, c), dtype=np.float64).tobytes())
+
+
+@functools.lru_cache(maxsize=128)
+def _thomas_factor(
+    n: int, coefficients: bytes
+) -> tuple[np.ndarray, np.ndarray]:
+    a, b, c = np.frombuffer(coefficients).tolist()
     cprime = np.empty(n)
     denom_inv = np.empty(n)
     denom = b
@@ -107,6 +120,7 @@ def thomas_factor(
                 raise ZeroDivisionError("singular tridiagonal system")
         denom_inv[k] = 1.0 / denom
         cprime[k] = c * denom_inv[k]
+    cprime.flags.writeable = denom_inv.flags.writeable = False
     return cprime, denom_inv
 
 

@@ -64,18 +64,23 @@ def _paired_verdict(ir: ProgramIR) -> tuple[AnalysisResult, ...] | None:
     src = np.tile(np.arange(ir.nprocs), len(sends))
     dst = np.concatenate([s.peer for s in sends] or [src])
     tag = np.concatenate([s.tag for s in sends] or [src])
-
-    def distinct(*columns: Any) -> int:
-        rows = np.stack(columns)[:, np.lexsort(columns)]
-        return int(np.diff(rows).any(axis=0).sum()) + bool(rows.shape[1])
-
-    channels = distinct(dst, tag)
-    if distinct(src, dst, tag) != channels:
+    # one sort by (dst, tag, src): a channel starts where dst or tag
+    # changes, and a second sender shows as a src change inside one
+    order = np.lexsort((src, tag, dst))
+    src, dst, tag = src[order], dst[order], tag[order]
+    same = (dst[1:] == dst[:-1]) & (tag[1:] == tag[:-1])
+    if (same & (src[1:] != src[:-1])).any():
         return None
+    channels = len(same) - int(same.sum()) + bool(len(dst))
+    # pairing makes every receive step's sources a permutation of the
+    # ranks, so every send's dst is a rank and this key is exact (a sort,
+    # not np.unique, which imports numpy.ma on first use)
+    pair = np.sort(src * ir.nprocs + dst)
+    pairs = int((pair[1:] != pair[:-1]).sum()) + bool(len(pair))
     return (
         AnalysisResult("matching", (), {
             "sends": len(src), "recvs": len(src),
-            "pairs": distinct(src, dst), "channels": channels,
+            "pairs": pairs, "channels": channels,
         }),
         AnalysisResult("deadlock", (), {"blocked_ranks": 0, "cycles": 0}),
         AnalysisResult(

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Sequence
 
+import numpy as np
+
 from repro.simmpi.engine import Lockstep
 from repro.simmpi.message import (
     ANY_TAG,
@@ -109,10 +111,10 @@ class ProgramIR:
     @property
     def paired(self) -> bool:
         """A paired lockstep program with no ``ANY_TAG`` receive."""
-        return self.lockstep is not None and self.lockstep.paired and not any(
-            step.kind is RecvOp and (step.tag == ANY_TAG).any()
-            for step in self.lockstep.steps
-        )
+        if self.lockstep is None or not self.lockstep.paired:
+            return False
+        tags = [s.tag for s in self.lockstep.steps if s.kind is RecvOp]
+        return not tags or not (np.stack(tags) == ANY_TAG).any()
 
     def sends(self) -> Iterator[tuple[int, int, SendOp]]:
         """Every send as ``(rank, index, op)``, in rank then program order."""

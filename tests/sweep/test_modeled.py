@@ -145,3 +145,44 @@ class TestModelBehaviour:
             best_processor_count(
                 (16, 16, 16), 4, machine(), [], p_min=9
             )
+
+
+class TestLocalOps:
+    """Two-array schedules: ``BinaryPointwiseOp`` and ``CopyOp`` are local
+    compute, charged like a ``PointwiseOp`` of the same flop weight."""
+
+    @staticmethod
+    def _schedules():
+        import dataclasses
+
+        from repro.apps.sp import SPProblem
+        from repro.sweep.ops import BinaryPointwiseOp, CopyOp
+
+        two_array = SPProblem((16, 16, 16)).schedule_two_array()
+        copy = CopyOp("u", "rhs", flops_per_point=3.0)
+        two_array = two_array[:2] + [copy] + two_array[2:]
+        as_pointwise = [
+            PointwiseOp(lambda b: b, flops_per_point=op.flops_per_point)
+            if isinstance(op, (BinaryPointwiseOp, CopyOp))
+            else dataclasses.replace(op)
+            for op in two_array
+        ]
+        kinds = {type(op) for op in two_array}
+        assert {BinaryPointwiseOp, CopyOp} <= kinds
+        return two_array, as_pointwise
+
+    @pytest.mark.parametrize("grid", [(4,), (1, 4), (2, 2)])
+    def test_blockgrid_time(self, grid):
+        two_array, as_pointwise = self._schedules()
+        m, shape = machine(), (16, 16, 16)
+        assert blockgrid_time(shape, grid, m, two_array) == blockgrid_time(
+            shape, grid, m, as_pointwise
+        )
+
+    @pytest.mark.parametrize("part_axis", [0, 1, 2])
+    def test_transpose_time(self, part_axis):
+        two_array, as_pointwise = self._schedules()
+        m, shape = machine(), (16, 16, 16)
+        assert transpose_time(
+            shape, 4, m, two_array, part_axis
+        ) == transpose_time(shape, 4, m, as_pointwise, part_axis)

@@ -12,6 +12,7 @@ rejected, never approximated.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -170,6 +171,30 @@ def test_hand_built_ops_match_engine(machine_factory, program):
         replay_lockstep(machine, program),
         _engine_replay(machine, program.rank_ops()),
     )
+
+
+def test_receive_on_time_early_and_late_match_engine():
+    """Rank 1's message arrives exactly at its clock, rank 2's before it,
+    rank 0's after it: only rank 0 blocks, the others' blocked time stays
+    ``+0.0``, and every number equals the engine's."""
+    machine = MachineModel(overhead=0.25, latency=0.5, bandwidth=1.0)
+    ranks = np.arange(3)
+    tag = np.zeros(3, dtype=np.int64)
+    program = Lockstep((
+        Step(ComputeOp, seconds=np.array([1.0, 1.5, 3.0]),
+             points=np.ones(3, dtype=np.int64)),
+        Step(SendOp, (ranks + 1) % 3, tag, np.zeros(3, dtype=np.int64)),
+        Step(RecvOp, (ranks - 1) % 3, tag, match=1),
+    ), 3)
+    lockstep = replay_lockstep(machine, program)
+    assert_identical(lockstep, _engine_replay(machine, program.rank_ops()))
+    # arrivals 3.75, 1.75, 2.25 against clocks 1.25, 1.75, 3.25
+    assert lockstep.clocks == (4.0, 2.0, 3.5)
+    assert lockstep.comm_by_rank == (0.5, 0.5, 0.5)
+    assert lockstep.blocked_by_rank == (2.5, 0.0, 0.0)
+    assert [math.copysign(1.0, b) for b in lockstep.blocked_by_rank] == [
+        1.0, 1.0, 1.0
+    ]
 
 
 def _send(tag=5, nbytes=(8, 16), peer=(1, 0)):

@@ -276,6 +276,20 @@ class TestSweep:
             "total"
         ] == 3
 
+    def test_json_output_equals_streamed_encoding(self, capsys):
+        """``--json`` writes what ``json.dump`` (the pure-Python encoder)
+        writes for the same document, byte for byte."""
+        import io
+        import json
+
+        out = run_cli(
+            capsys, "sweep", "--shapes", "8x8x8,9x10x11", "--nprocs",
+            "1,2,3,4,6", "--apps", "sp,bt", "--no-cache", "--json",
+        )
+        streamed = io.StringIO()
+        json.dump(json.loads(out), streamed)
+        assert out == streamed.getvalue() + "\n"
+
     def test_skeleton_mode_matches_simulated_timing(self, capsys):
         import json
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.apps import plan_app
 from repro.simmpi.engine import Lockstep, Step
 from repro.simmpi.machine import origin2000
-from repro.simmpi.message import RecvOp, SendOp
+from repro.simmpi.message import ANY_TAG, RecvOp, SendOp
 from repro.sweep.compile import CompiledSchedule
 from repro.sweep.multipart import MultipartExecutor
 from repro.verify import checker as checker_module
@@ -117,6 +117,27 @@ def test_two_senders_on_a_channel_fall_back_to_clocks():
     results = verify_ir(ir)
     assert documents(results) == documents(verify_ir(ProgramIR(3, ir.ranks)))
     assert results[2].stats["checked_pairs"] > 0
+
+
+@pytest.mark.parametrize("wild", [0, 1])
+def test_any_tag_receive_is_decided_op_by_op(wild):
+    """Paired, but receive step ``wild`` takes ``ANY_TAG``: the verdict
+    is not read from the steps, and equals the per-op copy's."""
+    ring = np.array([1, 2, 0])
+    steps: list = []
+    for k in range(2):
+        tag = np.full(3, ANY_TAG if k == wild else 5 + k)
+        steps += [
+            Step(SendOp, peer=ring, tag=tag, nbytes=np.full(3, 8)),
+            Step(RecvOp, peer=np.argsort(ring), tag=tag, match=2 * k),
+        ]
+    program = Lockstep(tuple(steps), 3)
+    assert program.paired
+    ir = ProgramIR(3, lockstep=program)
+    assert not ir.paired
+    assert documents(verify_ir(ir)) == documents(
+        verify_ir(ProgramIR(3, ir.ranks))
+    )
 
 
 # -- lockstep-level mutations -------------------------------------------------
