@@ -4,8 +4,11 @@
 minimizing the length of pipeline fill and drain phases, and using larger
 messages to minimize communication overhead in the steady state."
 
-Sweeps the chunk count of the static-block wavefront baseline and shows the
-interior optimum, both in its closed-form approximation and simulated.
+Sweeps the chunk count of the static-block wavefront baseline.  The
+closed form (the test-only oracle in ``tests/sweep/block_oracle.py``) has an
+interior optimum at class B; the simulated skeleton at class B does not (its
+makespan falls all the way to one plane per chunk), and the simulated
+interior optimum shows on the small real-data grid.
 """
 
 import numpy as np
@@ -14,9 +17,12 @@ from repro.analysis.report import format_table
 from repro.apps.workloads import random_field
 from repro.simmpi.machine import ethernet_cluster
 from repro.sweep.blockgrid import BlockGridExecutor
-from repro.sweep.modeled import blockgrid_time
 from repro.sweep.ops import SweepOp
 from repro.sweep.sequential import run_sequential
+from tests.sweep.block_oracle import blockgrid_time
+
+#: the class-B chunk counts both class-B sweeps cover
+CLASS_B_CHUNKS = (1, 2, 4, 8, 16, 32, 64, 102)
 
 
 def test_granularity_sweep_closed_form(benchmark, report):
@@ -33,7 +39,7 @@ def test_granularity_sweep_closed_form(benchmark, report):
     sched = [SweepOp(axis=0, mult=0.5)]
     rows = []
     times = {}
-    for chunks in (1, 2, 4, 8, 16, 32, 64, 102):
+    for chunks in CLASS_B_CHUNKS:
         t = blockgrid_time(shape, (16,), machine, sched, chunks=chunks)
         times[chunks] = t
         rows.append([chunks, t])
@@ -44,6 +50,28 @@ def test_granularity_sweep_closed_form(benchmark, report):
     )
     best = min(times, key=times.get)
     assert 1 < best < 102  # interior optimum: the paper's tension is real
+
+
+def test_granularity_skeleton_class_b(benchmark, report):
+    """The same class-B sweep simulated: reported, not asserted."""
+    machine = ethernet_cluster()
+    shape = (102, 102, 102)
+    sched = [SweepOp(axis=0, mult=0.5)]
+
+    def makespan(chunks):
+        return BlockGridExecutor(
+            (16,), shape, machine, chunks=chunks
+        ).run_skeleton(sched).makespan
+
+    benchmark.pedantic(lambda: makespan(16), rounds=1, iterations=1)
+    report(
+        "Wavefront pipeline granularity (class-B plane sweep, p=16, "
+        "skeleton, ethernet machine)",
+        format_table(
+            ["chunks", "virtual time (s)"],
+            [[chunks, makespan(chunks)] for chunks in CLASS_B_CHUNKS],
+        ),
+    )
 
 
 def test_granularity_simulated(benchmark, report):

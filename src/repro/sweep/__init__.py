@@ -11,14 +11,13 @@ schedules, so results are directly comparable):
   one-axis block layout with transposes around each sweep of the cut axis;
 * :func:`run_sequential` — single-processor ground truth.
 
-Every multipartitioned time is the makespan of the compiled program
-(:meth:`MultipartExecutor.run_skeleton` times class-B/C shapes
-payload-free); :func:`best_processor_count` searches processor counts with
-it.  :mod:`repro.sweep.modeled` keeps closed-form approximations for the
-two block baselines only.
+Every time is the makespan of a simulated program.  Each executor lowers
+a schedule once and both its modes run that lowering: real data, and a
+payload-free ``run_skeleton`` that times class-B/C shapes.
+:func:`best_processor_count` searches processor counts with the
+multipartitioned skeleton.
 """
 
-from .modeled import best_wavefront_chunks, blockgrid_time, transpose_time
 from .multipart import MultipartExecutor, best_processor_count
 from .blockgrid import BlockGridExecutor
 from .ops import (
@@ -44,7 +43,6 @@ __all__ = [
     "best_processor_count",
     "TransposeExecutor",
     "BlockGridExecutor",
-    "blockgrid_time",
     "run_sequential",
     "sequential_time",
     "PointwiseOp",
@@ -63,6 +61,4 @@ __all__ = [
     "thomas_solve",
     "TileGrid",
     "axis_extents",
-    "transpose_time",
-    "best_wavefront_chunks",
 ]

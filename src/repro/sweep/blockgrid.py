@@ -23,20 +23,40 @@ strongest block-partitioning baseline for 3-D line sweeps and the shape
 against which the paper's 3-D multipartitionings were historically compared
 (van der Wijngaart's "static" variants).  :class:`TransposeExecutor`
 (:mod:`repro.sweep.transpose`) shares the layout and overrides only the
-cut-axis sweep.
+lowering and interpretation of a cut-axis sweep.
+
+The executor lowers a schedule once into every rank's tuple of primitive
+ops (:mod:`repro.simmpi.message`), with a parallel tuple of
+:class:`BlockSite` entries naming what each entry acts on.  Every tag,
+peer, byte count and compute charge of a block baseline is decided there
+and nowhere else:
+
+* :meth:`BlockGridExecutor.run` interprets the ops: the numpy kernels run
+  at compute entries, and each send carries the real carry plane, halo
+  face or transpose piece in place of its declared
+  :class:`~repro.simmpi.message.Bytes`;
+* :meth:`BlockGridExecutor.run_skeleton` replays them as they are, with no
+  scatter, kernel or gather.
+
+Both go through the engine (a wavefront pipeline is not lockstep: its end
+ranks skip a receive or a send), so their clocks, makespan, message counts
+and byte totals agree bit for bit.  :func:`best_wavefront_chunks` picks the
+pipeline granularity by skeleton makespan.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Generator
+from typing import Any, Callable, Generator, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.simmpi.comm import Comm
 from repro.simmpi.engine import run_programs
 from repro.simmpi.machine import MachineModel
+from repro.simmpi.message import Bytes, ComputeOp, RecvOp, SendOp
+from repro.simmpi.trace import RunResult
 
+from .compile import ITEMSIZE
 from .ops import (
     BinaryPointwiseOp,
     BlockSweepOp,
@@ -48,7 +68,16 @@ from .ops import (
 )
 from .tiles import axis_extents
 
-__all__ = ["BlockGridExecutor", "local_slab_op", "as_named", "unwrap_named"]
+__all__ = [
+    "BlockGridExecutor",
+    "apply_local_op",
+    "as_named",
+    "best_wavefront_chunks",
+    "unwrap_named",
+]
+
+#: ops every rank applies to its whole block as one local compute
+_LOCAL = (PointwiseOp, BinaryPointwiseOp, CopyOp)
 
 
 def as_named(arrays) -> tuple[bool, dict]:
@@ -65,38 +94,45 @@ def unwrap_named(single: bool, named: dict):
     return named["u"] if single else named
 
 
-def local_slab_op(
-    comm: Comm,
-    op,
-    get: Callable[[str], np.ndarray],
-    machine: MachineModel,
-) -> Generator:
-    """Apply a communication-free op (pointwise / binary / copy) to this
-    rank's blocks; ``get(name)`` returns the local block of an array."""
+def apply_local_op(op, get: Callable[[str], np.ndarray]) -> None:
+    """Apply a communication-free op (pointwise / binary / copy) in place
+    to this rank's blocks; ``get(name)`` returns the local block of an
+    array."""
     if isinstance(op, PointwiseOp):
         slab = get(op.array)
         result = op.fn(slab)
         if result.shape != slab.shape:
             raise ValueError(f"{op.name} changed the slab's shape")
         slab[...] = result
-        size = slab.size
     elif isinstance(op, BinaryPointwiseOp):
         target = get(op.target)
         result = op.fn(target, get(op.source))
         if result.shape != target.shape:
             raise ValueError(f"{op.name} changed the slab's shape")
         target[...] = result
-        size = target.size
     elif isinstance(op, CopyOp):
-        dst = get(op.dst)
-        dst[...] = get(op.src)
-        size = dst.size
+        get(op.dst)[...] = get(op.src)
     else:
         raise TypeError(f"not a local slab op: {op!r}")
-    yield from comm.compute(
-        machine.compute_time(size, op.flops_per_point, tiles=1),
-        points=size,
-    )
+
+
+class BlockSite(NamedTuple):
+    """What one lowered entry of a block rank program acts on.
+
+    ``region`` is a tuple of slices: the chunk of the block a wavefront
+    entry scans, the face a halo send copies, where a halo receive's ghost
+    lands in the padded block.  ``key`` is a wavefront entry's global
+    ``(lo, hi)`` span along the swept axis, or a transposed sweep's stage
+    (``"forward"``, ``"sweep"`` or ``"back"``)."""
+
+    op_index: int
+    region: tuple = ()
+    key: Any = None
+
+
+def _region(axis: int, lo: int, hi: int) -> tuple:
+    """``[lo, hi)`` along ``axis``, everything along the axes before it."""
+    return (slice(None),) * axis + (slice(lo, hi),)
 
 
 class BlockGridExecutor:
@@ -149,7 +185,22 @@ class BlockGridExecutor:
             for a, c in enumerate(self._coords(rank))
         )
 
+    def _block_shape(self, rank: int) -> tuple[int, ...]:
+        return tuple(s.stop - s.start for s in self._rank_sel(rank))
+
+    def _charge(self, shape, flops_per_point: float) -> ComputeOp:
+        """One kernel pass over a block of ``shape``."""
+        size = math.prod(shape)
+        return ComputeOp(
+            self.machine.compute_time(size, flops_per_point, tiles=1), size
+        )
+
+    # -- public API ----------------------------------------------------------
+
     def run(self, arrays, schedule) -> "tuple":
+        """Distribute the array(s), interpret the lowered ``schedule`` on
+        every simulated rank, reassemble and return ``(result,
+        run_result)``."""
         single, named = as_named(arrays)
         per_rank: list[dict] = [{} for _ in range(self.nprocs)]
         for name, array in named.items():
@@ -161,9 +212,8 @@ class BlockGridExecutor:
                     array[self._rank_sel(rank)], copy=True
                 )
         programs = [
-            self._rank_program(Comm(rank, self.nprocs), per_rank[rank],
-                               schedule)
-            for rank in range(self.nprocs)
+            self._interpret(rank, ops, sites, per_rank[rank], schedule)
+            for rank, (ops, sites) in enumerate(self._lower(schedule))
         ]
         result = run_programs(
             self.machine, programs, record_events=self.record_events
@@ -176,11 +226,116 @@ class BlockGridExecutor:
             out[name] = full
         return unwrap_named(single, out), result
 
-    # -- rank program -----------------------------------------------------------
+    def run_skeleton(self, schedule) -> RunResult:
+        """Replay the lowered ``schedule`` payload-free: the ops
+        :meth:`run` interprets, so every number of the result equals
+        real-data mode's."""
+        return run_programs(
+            self.machine,
+            # a generator expression ignores what the engine sends back
+            [(op for op in ops) for ops, _ in self._lower(schedule)],
+            record_events=self.record_events,
+        )
 
-    def _rank_program(
-        self, comm: Comm, blocks: dict, schedule
+    # -- lowering ------------------------------------------------------------
+
+    def _lower(self, schedule) -> tuple[tuple[tuple, tuple], ...]:
+        """Every rank's ``(ops, sites)`` for ``schedule``."""
+        return tuple(
+            tuple(zip(*self._lower_rank(rank, schedule))) or ((), ())
+            for rank in range(self.nprocs)
+        )
+
+    def _lower_rank(self, rank: int, schedule) -> Iterator[tuple]:
+        block = self._block_shape(rank)
+        for index, op in enumerate(schedule):
+            sweep = isinstance(op, (SweepOp, BlockSweepOp))
+            if isinstance(op, StencilOp):
+                yield from self._lower_stencil(rank, index, op, block)
+            elif sweep and self.grid[op.axis % len(block)] > 1:
+                axis = op.axis % len(block)
+                yield from self._lower_cut_sweep(rank, index, op, axis)
+            elif sweep or isinstance(op, _LOCAL):
+                yield self._charge(block, op.flops_per_point), BlockSite(index)
+            else:
+                raise TypeError(f"unsupported op {op!r}")
+
+    def _lower_cut_sweep(
+        self, rank: int, index: int, op, axis: int
+    ) -> Iterator[tuple]:
+        """Wavefront along cut ``axis``: pipeline chunk by chunk down this
+        rank's chain, chunking over the first other cut axis (keeping chunk
+        traffic within the chain), else the first other axis."""
+        block = self._block_shape(rank)
+        pos, chain = self._coords(rank)[axis], self.grid[axis]
+        span = self._spans[axis][pos]
+        chunk_axis = next(
+            a for a in self._cut_axes + tuple(range(len(block))) if a != axis
+        )
+        n_chunk = block[chunk_axis]
+
+        step = -1 if op.reverse else +1
+        first = pos == (0 if step == 1 else chain - 1)
+        last = pos == (chain - 1 if step == 1 else 0)
+        upstream = rank - step * self._strides[axis]
+        downstream = rank + step * self._strides[axis]
+        tag_base = (index + 1) * 100_000
+
+        for k, (lo, hi) in enumerate(
+            axis_extents(n_chunk, min(self.chunks, n_chunk))
+        ):
+            chunk = list(block)
+            chunk[chunk_axis] = hi - lo
+            site = BlockSite(index, _region(chunk_axis, lo, hi), span)
+            if not first:
+                yield RecvOp(upstream, tag_base + k), site
+            yield self._charge(chunk, op.flops_per_point), site
+            if not last:
+                plane = ITEMSIZE * math.prod(chunk) // chunk[axis]
+                yield SendOp(downstream, Bytes(plane), tag_base + k), site
+
+    def _lower_stencil(
+        self, rank: int, index: int, op: StencilOp, block: tuple
+    ) -> Iterator[tuple]:
+        """Halo exchange across each cut axis, one after the other (star
+        stencil: axis fills are independent), then the update.  Along each
+        axis a rank sends its trailing planes downstream (their low ghosts)
+        and its leading planes upstream (their high ghosts) before
+        receiving; a receive's region is where its ghost lands in the
+        padded block."""
+        coords = self._coords(rank)
+        reach = op.pad_widths(len(block))
+        core = [slice(lo, lo + n) for n, (lo, _) in zip(block, reach)]
+        tag_base = (index + 1) * 100_000 + 50_000
+        for i, axis in enumerate(self._cut_axes):
+            (lo_w, hi_w), n = reach[axis], block[axis]
+            pos, stride = coords[axis], self._strides[axis]
+            plane, tag = ITEMSIZE * math.prod(block) // n, tag_base + 10 * i
+            down, up = pos + 1 < self.grid[axis], pos > 0
+            before, after = tuple(core[:axis]), tuple(core[axis + 1:])
+            if lo_w and down:
+                face = BlockSite(index, _region(axis, n - lo_w, n))
+                yield SendOp(rank + stride, Bytes(lo_w * plane), tag), face
+            if hi_w and up:
+                face = BlockSite(index, _region(axis, 0, hi_w))
+                yield SendOp(rank - stride, Bytes(hi_w * plane), tag + 1), face
+            if lo_w and up:
+                land = before + (slice(0, lo_w),) + after
+                yield RecvOp(rank - stride, tag), BlockSite(index, land)
+            if hi_w and down:
+                land = before + (slice(lo_w + n, lo_w + n + hi_w),) + after
+                yield RecvOp(rank + stride, tag + 1), BlockSite(index, land)
+        yield self._charge(block, op.flops_per_point), BlockSite(index)
+
+    # -- real-data interpretation --------------------------------------------
+
+    def _interpret(
+        self, rank: int, ops: tuple, sites: tuple, blocks: dict, schedule
     ) -> Generator:
+        """Real-data rank program: walk the rank's lowered ops, running the
+        numpy kernels at compute entries and sending the real payload at
+        each send."""
+
         def get(name: str) -> np.ndarray:
             if name not in blocks:
                 raise KeyError(
@@ -188,156 +343,84 @@ class BlockGridExecutor:
                 )
             return blocks[name]
 
-        for op_index, op in enumerate(schedule):
-            if isinstance(op, (PointwiseOp, BinaryPointwiseOp, CopyOp)):
-                yield from local_slab_op(comm, op, get, self.machine)
-            elif isinstance(op, StencilOp):
-                yield from self._stencil(
-                    comm,
-                    get(op.array),
-                    op,
-                    op_index,
-                    out=get(op.out_array or op.array),
-                )
-            elif isinstance(op, (SweepOp, BlockSweepOp)):
-                block = get(op.array)
-                axis = op.axis % len(self.shape)
-                if self.grid[axis] == 1:
-                    yield from self._local_sweep(comm, block, op, axis)
-                else:
-                    yield from self._cut_sweep(comm, blocks, op, axis,
-                                               op_index)
-            else:
-                raise TypeError(f"unsupported op {op!r}")
-        return comm.rank
-
-    def _local_sweep(
-        self, comm: Comm, block: np.ndarray, op, axis: int
-    ) -> Generator:
-        """Sweep a block that holds the full extent of ``axis``."""
-        n = self.shape[axis]
-        scan_op(block, op, 0, n, n, carry=None)
-        yield from comm.compute(
-            self.machine.compute_time(
-                block.size, op.flops_per_point, tiles=1
-            ),
-            points=block.size,
-        )
-
-    def _cut_sweep(
-        self, comm: Comm, blocks: dict, op, axis: int, op_index: int
-    ) -> Generator:
-        """Wavefront along cut ``axis``: pipeline chunk by chunk down this
-        rank's chain, chunking over the first other cut axis (keeping chunk
-        traffic within the chain), else the first other axis."""
-        block = blocks[op.array]
-        pos, chain = self._coords(comm.rank)[axis], self.grid[axis]
-        lo, hi = self._spans[axis][pos]
-        chunk_axis = next(
-            a for a in self._cut_axes + tuple(range(block.ndim)) if a != axis
-        )
-        n_chunk = block.shape[chunk_axis]
-        spans = axis_extents(n_chunk, min(self.chunks, n_chunk))
-
-        step = -1 if op.reverse else +1
-        first = pos == (0 if step == 1 else chain - 1)
-        last = pos == (chain - 1 if step == 1 else 0)
-        upstream = comm.rank - step * self._strides[axis]
-        downstream = comm.rank + step * self._strides[axis]
-        tag_base = (op_index + 1) * 100_000
-
-        for k, (clo, chi) in enumerate(spans):
-            sel: list = [slice(None)] * block.ndim
-            sel[chunk_axis] = slice(clo, chi)
-            sub = block[tuple(sel)]
-            carry_in = None
-            if not first:
-                carry_in = yield from comm.recv(upstream, tag_base + k)
-            carry_out = scan_op(sub, op, lo, hi, self.shape[axis],
-                                carry=carry_in)
-            yield from comm.compute(
-                self.machine.compute_time(
-                    sub.size, op.flops_per_point, tiles=1
-                ),
-                points=sub.size,
-            )
-            if not last:
-                yield from comm.send(carry_out, downstream, tag_base + k)
-
-    def _stencil(
-        self,
-        comm: Comm,
-        block: np.ndarray,
-        op: StencilOp,
-        op_index: int,
-        out: np.ndarray | None = None,
-    ) -> Generator:
-        """Halo exchange across each cut axis, one after the other (star
-        stencil: axis fills are independent).  Along each axis a rank sends
-        its trailing planes downstream (their low ghosts) and its leading
-        planes upstream (their high ghosts) before receiving."""
-        coords = self._coords(comm.rank)
-        ndim = block.ndim
-        reach = op.pad_widths(ndim)
-        tag_base = (op_index + 1) * 100_000 + 50_000
-
-        ghosts: dict[tuple[int, int], np.ndarray] = {}
-        for i, axis in enumerate(self._cut_axes):
-            lo_w, hi_w = reach[axis]
-            pos, length = coords[axis], self.grid[axis]
-            stride = self._strides[axis]
-            n = block.shape[axis]
-            tag = tag_base + 10 * i
-
-            def face(index: slice) -> np.ndarray:
-                sel: list = [slice(None)] * ndim
-                sel[axis] = index
+        state: dict = {}  # what a cut-axis sweep keeps between entries
+        ghosts: list = []  # a stencil's (padded region, received face)
+        for prim, site in zip(ops, sites):
+            op = schedule[site.op_index]
+            cls = prim.__class__
+            if isinstance(op, (SweepOp, BlockSweepOp)):
+                block, axis = get(op.array), op.axis % len(self.shape)
+                if self.grid[axis] > 1:
+                    yield from self._cut_entry(
+                        rank, prim, op, site, blocks, state
+                    )
+                    continue
+                scan_op(block, op, 0, block.shape[axis], block.shape[axis],
+                        carry=None)
+            elif cls is SendOp:
                 # copy: the face may alias the block about to be updated
-                return np.array(block[tuple(sel)], copy=True)
+                face = np.array(get(op.array)[site.region], copy=True)
+                yield SendOp(prim.dest, face, prim.tag)
+                continue
+            elif cls is RecvOp:
+                ghosts.append((site.region, (yield prim)))
+                continue
+            elif isinstance(op, StencilOp):
+                block = get(op.array)
+                padded = np.pad(block, op.pad_widths(block.ndim))
+                for region, face in ghosts:
+                    padded[region] = face
+                ghosts = []
+                result = op.fn(padded)
+                if result.shape != block.shape:
+                    raise ValueError(
+                        f"{op.name} must return the core shape "
+                        f"{block.shape}, got {result.shape}"
+                    )
+                get(op.out_array or op.array)[...] = result
+            else:
+                apply_local_op(op, get)
+            yield prim
+        return rank
 
-            if lo_w and pos + 1 < length:
-                yield from comm.send(
-                    face(slice(n - lo_w, n)), comm.rank + stride, tag
-                )
-            if hi_w and pos - 1 >= 0:
-                yield from comm.send(
-                    face(slice(0, hi_w)), comm.rank - stride, tag + 1
-                )
-            if lo_w and pos - 1 >= 0:
-                ghosts[(axis, 0)] = yield from comm.recv(
-                    comm.rank - stride, tag
-                )
-            if hi_w and pos + 1 < length:
-                ghosts[(axis, 1)] = yield from comm.recv(
-                    comm.rank + stride, tag + 1
-                )
+    def _cut_entry(
+        self, rank: int, prim, op, site: BlockSite, blocks: dict,
+        state: dict,
+    ) -> Generator:
+        """Interpret one entry of a wavefront sweep: a receive delivers the
+        chunk's incoming carry, the compute scans the chunk, and the send
+        passes its outgoing carry downstream."""
+        cls = prim.__class__
+        if cls is RecvOp:
+            state["in"] = yield prim
+        elif cls is SendOp:
+            yield SendOp(prim.dest, state.pop("out"), prim.tag)
+        else:
+            lo, hi = site.key
+            state["out"] = scan_op(
+                blocks[op.array][site.region], op, lo, hi,
+                self.shape[op.axis % len(self.shape)],
+                carry=state.pop("in", None),
+            )
+            yield prim
 
-        padded = np.pad(block, reach, mode="constant")
-        core = tuple(
-            slice(lo, lo + s) for s, (lo, _) in zip(block.shape, reach)
-        )
-        for (axis, side), ghost in ghosts.items():
-            lo_w, hi_w = reach[axis]
-            sel = list(core)
-            sel[axis] = (
-                slice(0, lo_w)
-                if side == 0
-                else slice(
-                    lo_w + block.shape[axis],
-                    lo_w + block.shape[axis] + hi_w,
-                )
-            )
-            padded[tuple(sel)] = ghost
-        result = op.fn(padded)
-        if result.shape != block.shape:
-            raise ValueError(
-                f"{op.name} must return the core shape {block.shape}, "
-                f"got {result.shape}"
-            )
-        (out if out is not None else block)[...] = result
-        yield from comm.compute(
-            self.machine.compute_time(
-                block.size, op.flops_per_point, tiles=1
-            ),
-            points=block.size,
-        )
+
+def best_wavefront_chunks(
+    shape: tuple[int, ...],
+    nprocs: int,
+    machine: MachineModel,
+    schedule,
+) -> tuple[int, float]:
+    """``(chunks, makespan)`` of the wavefront ``(nprocs,)`` with the least
+    skeleton makespan over 1, 2, 4, ... chunks, up to the extent of the
+    chunked axis 1: the tuning knob a careful hand coder would sweep."""
+    best = (1, float("inf"))
+    chunks = 1
+    while chunks <= shape[1]:
+        makespan = BlockGridExecutor(
+            (nprocs,), shape, machine, chunks=chunks
+        ).run_skeleton(schedule).makespan
+        if makespan < best[1]:
+            best = (chunks, makespan)
+        chunks *= 2
+    return best

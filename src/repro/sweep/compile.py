@@ -332,11 +332,6 @@ class ScheduleCompiler:
             self._last = last = self._lower(schedule)
         return last
 
-    def compile_rank(self, rank: int, schedule) -> tuple[tuple, tuple]:
-        """One rank's ``(ops, sites)`` for ``schedule``."""
-        compiled = self.compile(schedule)
-        return compiled.ops[rank], compiled.sites[rank]
-
     # -- lowering -------------------------------------------------------------
 
     def _lower(self, schedule: tuple) -> CompiledSchedule:

@@ -6,7 +6,9 @@ sweeps along every other axis, pointwise ops and stencils run exactly as
 there.  To sweep along ``part_axis`` itself the data is redistributed
 (all-to-all "transpose") so that ``part_axis`` becomes local and
 ``alt_axis`` is partitioned, the sweep runs locally, and the data is
-transposed back.
+transposed back.  The executor overrides only the lowering and
+interpretation of that sweep; both modes of :class:`BlockGridExecutor`
+(real data and skeleton) run the one lowering.
 
 This is the strategy's defining trade: perfect efficiency during each sweep,
 paid for by two all-to-alls moving (almost) the whole array per swept
@@ -15,14 +17,18 @@ dimension (Section 1's "dynamic block partitioning").
 
 from __future__ import annotations
 
-from typing import Generator
+import math
+from typing import Generator, Iterator
 
 import numpy as np
 
-from repro.simmpi.comm import Comm
+from repro.simmpi.comm import _TAG_ALLTOALL
 from repro.simmpi.machine import MachineModel
+from repro.simmpi.message import Bytes, ComputeOp, RecvOp, SendOp
 
-from .blockgrid import BlockGridExecutor
+from .blockgrid import BlockGridExecutor, BlockSite, _region
+from .compile import ITEMSIZE
+from .ops import scan_op
 from .tiles import axis_extents
 
 __all__ = ["TransposeExecutor"]
@@ -61,35 +67,95 @@ class TransposeExecutor(BlockGridExecutor):
         self.part_axis = part_axis
         self.alt_axis = alt_axis
         self._alt_spans = axis_extents(shape[alt_axis], nprocs)
+        self._round_ops: dict[tuple[int, str], tuple] = {}
 
-    def _cut_sweep(
-        self, comm: Comm, blocks: dict, op, axis: int, op_index: int
-    ) -> Generator:
-        """Redistribute so ``part_axis`` is local, sweep, redistribute back;
-        the rank's block of ``op.array`` is rebound to the returned data."""
-        slab = blocks[op.array]
-        # forward transpose: split own slab along alt_axis, one piece per rank
-        pieces = [
-            np.ascontiguousarray(
-                np.take(slab, range(lo, hi), axis=self.alt_axis)
+    def _work_shape(self, rank: int) -> list[int]:
+        """The rank's share while ``part_axis`` is local: the whole array
+        cut along ``alt_axis``."""
+        work = list(self.shape)
+        lo, hi = self._alt_spans[rank]
+        work[self.alt_axis] = hi - lo
+        return work
+
+    def _cuts(self, stage: str) -> tuple:
+        """``(axis, spans)`` a stage's pieces are cut along, and those of
+        the array they fill: forward, the block's ``alt_axis`` pieces fill
+        the work array along ``part_axis``; back, the other way round."""
+        alt = (self.alt_axis, self._alt_spans)
+        part = (self.part_axis, self._spans[self.part_axis])
+        return (alt, part) if stage == "forward" else (part, alt)
+
+    def _pack(self, shape) -> ComputeOp:
+        """Pack + unpack are real memory passes: one element pass each."""
+        size = math.prod(shape)
+        return ComputeOp(self.machine.compute_time(size, ops=2.0), size)
+
+    def _lower_cut_sweep(
+        self, rank: int, index: int, op, axis: int
+    ) -> Iterator[tuple]:
+        """Pack, the exchange rounds of :meth:`~repro.simmpi.comm.Comm
+        .alltoall` that make ``axis`` local, the local sweep, pack, and
+        the rounds back."""
+        forward, sweep, back = (
+            BlockSite(index, (), stage)
+            for stage in ("forward", "sweep", "back")
+        )
+        work = self._work_shape(rank)
+        yield self._pack(self._block_shape(rank)), forward
+        for prim in self._rounds(rank, "forward"):
+            yield prim, forward
+        yield self._charge(work, op.flops_per_point), sweep
+        yield self._pack(work), back
+        for prim in self._rounds(rank, "back"):
+            yield prim, back
+
+    def _rounds(self, rank: int, stage: str) -> tuple:
+        """The ``p - 1`` rounds of :meth:`~repro.simmpi.comm.Comm.alltoall`
+        (in round ``shift`` the rank sends rank ``rank + shift`` its piece
+        and receives from rank ``rank - shift``), the same for every
+        transposed sweep, so built once per rank and stage."""
+        key = (rank, stage)
+        if key not in self._round_ops:
+            (axis, spans), _ = self._cuts(stage)
+            shape = (
+                self._block_shape(rank) if stage == "forward"
+                else self._work_shape(rank)
             )
-            for lo, hi in self._alt_spans
-        ]
-        # pack + unpack are real memory passes: charge one element pass each
-        yield from comm.compute(
-            self.machine.compute_time(slab.size, ops=2.0), points=slab.size
-        )
-        received = yield from comm.alltoall(pieces)
-        # reassemble: full part_axis extent, own alt_axis span
-        work = np.concatenate(received, axis=axis)
-        yield from self._local_sweep(comm, work, op, axis)
-        # backward transpose: split along part_axis, return pieces
-        back_pieces = [
-            np.ascontiguousarray(np.take(work, range(lo, hi), axis=axis))
-            for lo, hi in self._spans[axis]
-        ]
-        yield from comm.compute(
-            self.machine.compute_time(work.size, ops=2.0), points=work.size
-        )
-        returned = yield from comm.alltoall(back_pieces)
-        blocks[op.array] = np.concatenate(returned, axis=self.alt_axis)
+            p, rounds = self.nprocs, []
+            for shift in range(1, p):
+                lo, hi = spans[(rank + shift) % p]
+                piece = math.prod(shape) // shape[axis] * (hi - lo)
+                tag = _TAG_ALLTOALL + shift
+                rounds += [
+                    SendOp((rank + shift) % p, Bytes(ITEMSIZE * piece), tag),
+                    RecvOp((rank - shift) % p, tag),
+                ]
+            self._round_ops[key] = tuple(rounds)
+        return self._round_ops[key]
+
+    def _cut_entry(
+        self, rank: int, prim, op, site: BlockSite, blocks: dict,
+        state: dict,
+    ) -> Generator:
+        """Interpret one entry of a transposed sweep: the forward pieces
+        fill a work array holding ``part_axis`` whole, the sweep scans it,
+        and the pieces coming back fill the rank's block in place."""
+        cls, block = prim.__class__, blocks[op.array]
+        if site.key == "forward" and cls is ComputeOp:
+            state["work"] = np.empty(self._work_shape(rank))
+        work = state["work"]
+        if site.key == "sweep":
+            n = self.shape[self.part_axis]
+            scan_op(work, op, 0, n, n, carry=None)
+            yield prim
+            return
+        (cut, cuts), (fill, fills) = self._cuts(site.key)
+        source, target = (block, work) if site.key == "forward" else (work, block)
+        if cls is ComputeOp:  # the rank's own piece
+            target[_region(fill, *fills[rank])] = source[_region(cut, *cuts[rank])]
+            yield prim
+        elif cls is SendOp:
+            piece = np.array(source[_region(cut, *cuts[prim.dest])], copy=True)
+            yield SendOp(prim.dest, piece, prim.tag)
+        else:
+            target[_region(fill, *fills[prim.source])] = yield prim

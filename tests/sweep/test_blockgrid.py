@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.workloads import random_field
-from repro.simmpi.machine import MachineModel
-from repro.sweep.blockgrid import BlockGridExecutor
-from repro.sweep.modeled import blockgrid_time, transpose_time
+from repro.simmpi.machine import MachineModel, bus
+from repro.sweep.blockgrid import BlockGridExecutor, best_wavefront_chunks
 from repro.sweep.ops import (
     PointwiseOp,
     StencilOp,
@@ -21,6 +20,8 @@ from repro.sweep.ops import (
 )
 from repro.sweep.sequential import run_sequential
 from repro.sweep.transpose import TransposeExecutor
+
+from .block_oracle import blockgrid_time, transpose_time
 
 
 def make_schedule(shape):
@@ -147,6 +148,23 @@ class TestBlockGridModel:
             assert tm < best_bg
 
 
+class TestWavefrontChunks:
+    def test_best_is_the_least_skeleton_makespan(self, machine):
+        """The search runs the wavefront skeleton at 1, 2, 4, ... chunks,
+        up to the extent of the chunked axis, and keeps the least."""
+        shape = (16, 12, 10)
+        sched = make_schedule(shape)
+        times = {
+            chunks: BlockGridExecutor((4,), shape, machine, chunks=chunks)
+            .run_skeleton(sched).makespan
+            for chunks in (1, 2, 4, 8)
+        }
+        best = min(times, key=times.get)
+        assert best_wavefront_chunks(shape, 4, machine, sched) == (
+            best, times[best]
+        )
+
+
 class TestOneRankChain:
     """A chain of one rank neither pipelines nor transposes: its sweep is
     one local compute, which is what the closed forms charge."""
@@ -201,10 +219,11 @@ def star_stencil(reach) -> StencilOp:
 
 @st.composite
 def block_cases(draw):
-    """(shape, grid, transpose (p, part_axis, alt_axis), chunks, schedule):
-    a grid cuts one or two axes (trailing unit factors dropped or kept), the
-    schedule sweeps every axis forward and backward, with a pointwise op and
-    a star stencil whose reach fits every block."""
+    """(machine, shape, grid, transpose (p, part_axis, alt_axis), chunks,
+    schedule): a grid cuts one or two axes (trailing unit factors dropped
+    or kept), the schedule sweeps every axis forward and backward, with a
+    pointwise op and a star stencil whose reach fits every block.  The
+    machine has a scalable network or a bus."""
     ndim = draw(st.sampled_from([2, 3]))
     shape = tuple(draw(st.integers(4, 9)) for _ in range(ndim))
     cut = draw(st.lists(st.integers(0, ndim - 1), min_size=1, max_size=2,
@@ -229,21 +248,42 @@ def block_cases(draw):
             for _ in range(ndim)
         ]),
     ]
-    return shape, grid, (p, part, alt), chunks, draw(st.permutations(ops))
+    machine = draw(st.sampled_from([MachineModel(tile_overhead=1e-6), bus()]))
+    return (
+        machine, shape, grid, (p, part, alt), chunks,
+        draw(st.permutations(ops)),
+    )
+
+
+#: every number of a RunResult the skeleton must reproduce exactly
+RESULT_FIELDS = (
+    "clocks", "makespan", "message_count", "total_bytes",
+    "compute_by_rank", "comm_by_rank", "blocked_by_rank",
+)
+
+
+def assert_skeleton_equals(executor, sched, real):
+    """``run_skeleton`` replays what ``run`` interpreted: every number of
+    the result, and with ``record_events`` every trace event, is equal."""
+    skeleton = executor.run_skeleton(sched)
+    for field in RESULT_FIELDS:
+        assert getattr(skeleton, field) == getattr(real, field), field
+    assert skeleton.trace.events == real.trace.events
 
 
 class TestBlockExecutorsProperty:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(case=block_cases())
     def test_match_sequential_and_count_chain_messages(self, case):
-        shape, grid, (p, part, alt), chunks, sched = case
-        machine = MachineModel(tile_overhead=1e-6)
+        machine, shape, grid, (p, part, alt), chunks, sched = case
         field = random_field(shape)
         ref = run_sequential(field, sched)
-        out, res = BlockGridExecutor(
+        executor = BlockGridExecutor(
             grid, shape, machine, chunks=chunks, record_events=True
-        ).run(field, sched)
+        )
+        out, res = executor.run(field, sched)
         assert np.allclose(out, ref, atol=1e-12)
+        assert_skeleton_equals(executor, sched, res)
         nprocs = math.prod(grid)
         sent = Counter(
             e.tag // 100_000 - 1 for e in res.trace.events if e.kind == "send"
@@ -263,7 +303,10 @@ class TestBlockExecutorsProperty:
             )
             assert sent[index] == expected, (index, op)
 
-        out, res = TransposeExecutor(
-            p, shape, machine, part_axis=part, alt_axis=alt
-        ).run(field, sched)
+        executor = TransposeExecutor(
+            p, shape, machine, part_axis=part, alt_axis=alt,
+            record_events=True,
+        )
+        out, res = executor.run(field, sched)
         assert np.allclose(out, ref, atol=1e-12)
+        assert_skeleton_equals(executor, sched, res)

@@ -1,20 +1,18 @@
-"""Closed-form baseline times cross-checked against simulated executions,
-and the skeleton-timed multipartitioning behaviour they are compared with."""
+"""The test-only closed-form baseline times (:mod:`.block_oracle`)
+cross-checked against simulated executions, and the simulated behaviour
+they are compared with."""
 
 import pytest
 
 from repro.apps.workloads import random_field
 from repro.core.api import plan_multipartitioning
 from repro.simmpi.machine import MachineModel
-from repro.sweep.blockgrid import BlockGridExecutor
-from repro.sweep.modeled import (
-    best_wavefront_chunks,
-    blockgrid_time,
-    transpose_time,
-)
+from repro.sweep.blockgrid import BlockGridExecutor, best_wavefront_chunks
 from repro.sweep.multipart import MultipartExecutor, best_processor_count
 from repro.sweep.ops import PointwiseOp, SweepOp, thomas_ops
 from repro.sweep.transpose import TransposeExecutor
+
+from .block_oracle import blockgrid_time, transpose_time
 
 
 def machine() -> MachineModel:
@@ -90,8 +88,11 @@ class TestModelBehaviour:
         shape = (64, 64, 64)
         sched = [SweepOp(axis=0, mult=0.5)]
         c_best, t_best = best_wavefront_chunks(shape, 8, m, sched)
-        t_one = blockgrid_time(shape, (8,), m, sched, chunks=1)
-        t_max = blockgrid_time(shape, (8,), m, sched, chunks=64)
+        t_one, t_max = (
+            BlockGridExecutor((8,), shape, m, chunks=chunks)
+            .run_skeleton(sched).makespan
+            for chunks in (1, 64)
+        )
         assert t_best <= t_one and t_best <= t_max
         assert 1 < c_best < 64
 

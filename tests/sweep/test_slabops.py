@@ -4,21 +4,12 @@ normalization."""
 import numpy as np
 import pytest
 
-from repro.simmpi.comm import Comm
-from repro.simmpi.engine import run_programs
-from repro.simmpi.machine import MachineModel
 from repro.sweep.ops import BinaryPointwiseOp, CopyOp, PointwiseOp, SweepOp
-from repro.sweep.blockgrid import as_named, local_slab_op, unwrap_named
+from repro.sweep.blockgrid import apply_local_op, as_named, unwrap_named
 
 
 def run_local(op, slabs):
-    machine = MachineModel()
-
-    def prog(comm):
-        yield from local_slab_op(comm, op, lambda n: slabs[n], machine)
-        return None
-
-    run_programs(machine, [prog(Comm(0, 1))])
+    apply_local_op(op, lambda n: slabs[n])
 
 
 class TestAsNamed:

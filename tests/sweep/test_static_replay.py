@@ -38,9 +38,10 @@ from repro.simmpi.message import Bytes, ComputeOp, MarkOp, RecvOp, SendOp
 from repro.simmpi.summary import RunSummary
 from repro.simmpi.topology import topology_for
 from repro.sweep import multipart
-from repro.sweep.modeled import _msg_time
 from repro.sweep.multipart import MultipartExecutor
 from repro.sweep.ops import PointwiseOp, StencilOp
+
+from .block_oracle import _msg_time
 
 FIELDS = (
     "clocks",
