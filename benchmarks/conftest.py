@@ -33,7 +33,9 @@ _RESULTS = pathlib.Path(__file__).parent / "results.txt"
 _PROFILE_JSON = _ROOT / "BENCH_profile.json"
 _HISTORY_JSONL = _ROOT / "BENCH_history.jsonl"
 
-_BLOCK = re.compile(r"^===== (.*) =====$", re.MULTILINE)
+#: a results.txt block header: its title and the bench module that made it
+#: (absent from blocks written before modules were recorded)
+_BLOCK = re.compile(r"^===== (.*) =====(?: \[(\w+)\])?$", re.MULTILINE)
 
 #: this session's records and results.txt blocks, each with its "module"
 _records: list[dict] = []
@@ -61,14 +63,23 @@ def merge_entries(old: list[dict], new: list[dict]) -> list[dict]:
 
 
 def _read_blocks(text: str) -> list[dict]:
-    """The ``===== title =====`` blocks of results.txt, in order."""
+    """The ``===== title ===== [module]`` blocks of results.txt, in
+    order."""
     heads = list(_BLOCK.finditer(text))
     # a block's text runs to the newline that opens the next block
     ends = [head.start() - 1 for head in heads[1:]] + [len(text)]
     return [
         {"title": head.group(1), "text": text[head.end() + 1:end]}
+        | ({"module": head.group(2)} if head.group(2) else {})
         for head, end in zip(heads, ends)
     ]
+
+
+def _write_block(block: dict) -> str:
+    """One results.txt block, its header naming the module that made it
+    (so that a retitled bench replaces its old block)."""
+    module = f" [{block['module']}]" if block.get("module") else ""
+    return f"\n===== {block['title']} ====={module}\n{block['text']}"
 
 
 def pytest_configure(config):
@@ -96,8 +107,7 @@ def pytest_sessionfinish(session, exitstatus):
     if _blocks:
         old = _read_blocks(_RESULTS.read_text()) if _RESULTS.exists() else []
         _RESULTS.write_text("".join(
-            f"\n===== {block['title']} =====\n{block['text']}"
-            for block in merge_entries(old, _blocks)
+            map(_write_block, merge_entries(old, _blocks))
         ))
     if not _records:
         return

@@ -49,51 +49,49 @@ without tracing — pinned by ``tests/simmpi/test_engine_fastpath.py``.
 Lockstep replay
 ---------------
 
-A compiled multipartitioned schedule (:mod:`repro.sweep.compile`) runs the
-same op kinds in the same order on every rank (balance property), and
-each receive's message was sent at a lower op index (neighbor property).
-The compiler emits it as a :class:`Lockstep` program, one :class:`Step`
-of vectors over ranks per op index.  When :attr:`Lockstep.paired`
-confirms the second fact, :func:`replay_lockstep` advances every rank at
-once, one op index at a time, with a few numpy operations and no
-generators, message objects or wake sweeps.  It uses the fast path's
-float expressions in the same order (``clock = start + send_cpu_time``,
+Every executor lowers a schedule to a :class:`Lockstep` program: one
+:class:`Step` per op index, with the op kind and vectors of operands over
+the ranks that run it (``active``; every rank when ``None``).  A compiled
+multipartitioned schedule runs every step on every rank (balance
+property); the block baselines mask a wavefront's idle ranks and chain
+ends and a halo exchange's grid edges.  When :attr:`Lockstep.paired`
+confirms that each receive step takes exactly the messages of its
+``match``, an earlier send step, :func:`replay_lockstep` advances the
+ranks one step at a time with a few numpy operations and no generators,
+message objects or wake sweeps.  It uses the fast path's float
+expressions in the same order (``clock = start + send_cpu_time``,
 ``arrives = clock + transfer_time``, ``start = max(arrival, clock)`` with
 ``blocked += arrival - clock`` only when ``arrival >= clock``, ``clock =
 start + recv_cpu_time``, per-rank sums in program order) elementwise in
-float64, exactly as the engine's Python floats, so every
-:class:`RunResult` number equals the engine's bit for bit.  The blocked
-term is taken as ``start - clock``: ``arrival - clock`` for a late
-message, ``+0.0`` (which leaves the sum unchanged) for an early one.
-Receive step ``k`` takes send step ``k``'s message (pairing), so the
-timing table is indexed by a send counter and each receive costs seven
-numpy calls.  The engine's result cannot depend on interleaving here:
-the op lists are fixed, each receive names one FIFO channel, sends never
-block and no clock feeds back into control flow, so replaying op index by
-op index is one more valid interleaving.
+float64, on the whole vectors for a full step and on the active entries
+otherwise, so every :class:`RunResult` number equals the engine's bit for
+bit.  The blocked term is taken as ``start - clock``: ``+0.0``, which
+leaves the sum unchanged, for an early message.  The engine's result
+cannot depend on interleaving here: the op lists are fixed, each receive
+names one FIFO channel, sends never block and no clock feeds back into
+control flow, so replaying step by step is one more valid interleaving.
 
 That argument needs a non-bus network (the shared ``_bus_free_at`` depends
 on the global send order), no fault injection, no wildcard, timed or
-cancellable receives (a :class:`Step` has no field for a timeout or a
-cancel, and the compiler emits no wildcard), and no observer (marks live
-only in the compiled schedule's marked view, which observed runs replay
-through the engine).  :func:`replay_lockstep` raises ``ValueError`` on an
-unpaired program and ``TypeError`` on a step of any other kind instead of
-approximating.  The machine's timing functions are called once
-per distinct message size (per ``(src, dst, nbytes)`` with a topology),
-and ``compute_seconds`` is a Python ``sum`` in rank order, never a
-pairwise ``np.sum``.
-:meth:`~repro.sweep.multipart.MultipartExecutor.run_skeleton` uses it only
-for a paired program with no faults, protocol, trace or sinks on a
-non-bus machine; every other run goes through the engine.
+cancellable receives (a :class:`Step` has no field for them) and no
+observer (marks live only in the compiled schedule's marked view, which
+observed runs replay through the engine): :func:`replayable`, which every
+executor's ``run_skeleton`` asks.  :func:`replay_lockstep` raises
+``ValueError`` on an unpaired program and ``TypeError`` on a step of any
+other kind instead of approximating.  The machine's timing functions are
+called once per distinct message size (per ``(src, dst, nbytes)`` with a
+topology), and ``compute_seconds`` is a Python ``sum`` in rank order,
+never a pairwise ``np.sum``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 from collections import defaultdict, deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, NamedTuple
+from typing import Any, Generator, Iterable, NamedTuple
 
 import numpy as np
 
@@ -124,10 +122,8 @@ __all__ = [
     "Step",
     "Lockstep",
     "replay_lockstep",
+    "replayable",
 ]
-
-RankProgram = Callable[..., Generator]
-
 
 class SimDeadlockError(RuntimeError):
     """All unfinished ranks are blocked on receives that can never match."""
@@ -783,24 +779,26 @@ def run_programs(
 
 
 class Step(NamedTuple):
-    """One op index of a :class:`Lockstep` program: the op kind every rank
-    runs there, with its operands as vectors over ranks."""
+    """One op index of a :class:`Lockstep` program: the op kind its ranks
+    run there, with the operands as vectors over those ranks."""
 
     kind: type  # SendOp, RecvOp or ComputeOp
-    peer: Any = None  # int[p]: a send's dest, a receive's source
-    tag: Any = None  # int[p]
-    nbytes: Any = None  # int[p]: a send's payload size
-    seconds: Any = None  # float[p]: a compute charge
-    points: Any = None  # int[p]: the points it covers
+    peer: Any = None  # int[k]: a send's dest, a receive's source
+    tag: Any = None  # int[k]
+    nbytes: Any = None  # int[k]: a send's payload size
+    seconds: Any = None  # float[k]: a compute charge
+    points: Any = None  # int[k]: the points it covers
     match: int = -1  # a receive's matched send step
     site: Any = None  # the producer's annotation; never read here
+    active: Any = None  # int[k], increasing: its ranks; None: every rank
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Lockstep:
-    """Per-rank programs that run the same op kinds in the same order,
-    stored as one :class:`Step` per op index.  There are no mark steps:
-    observers read :attr:`repro.sweep.compile.CompiledSchedule.marked`."""
+    """Per-rank programs stored as one :class:`Step` per op index: every
+    rank runs the steps it is active in, in step order.  There are no mark
+    steps: observers read
+    :attr:`repro.sweep.compile.CompiledSchedule.marked`."""
 
     steps: tuple[Step, ...]
     nprocs: int
@@ -811,14 +809,43 @@ class Lockstep:
     def __post_init__(self) -> None:
         if self.nprocs < 1:
             raise ValueError("nprocs must be >= 1")
+        for on in (s.active for s in self.steps if s.active is not None):
+            if len(on) and not (
+                0 <= on[0] and on[-1] < self.nprocs and (on[1:] > on[:-1]).all()
+            ):
+                raise ValueError(
+                    f"active ranks must increase within [0, {self.nprocs})"
+                )
+        every = np.arange(self.nprocs)
+        every.flags.writeable = False
+        object.__setattr__(self, "_every", every)
         object.__setattr__(self, "paired", self._paired())
 
+    def ranks(self, step: Step) -> np.ndarray:
+        """The ranks ``step`` runs on (read-only)."""
+        return self._every if step.active is None else step.active
+
+    @functools.cached_property
+    def messages(self) -> tuple[np.ndarray, ...]:
+        """``(step, src, dst, tag, nbytes)`` of every message: its send
+        step's position among the send steps, then the step's vectors,
+        concatenated in step order."""
+        sends = [step for step in self.steps if step.kind is SendOp]
+        row = np.repeat(np.arange(len(sends)), [len(s.peer) for s in sends])
+        return (row,) + tuple(
+            np.concatenate([get(s) for s in sends] or [row])
+            for get in (
+                self.ranks, operator.attrgetter("peer"),
+                operator.attrgetter("tag"), operator.attrgetter("nbytes"),
+            )
+        )
+
     def _paired(self) -> bool:
-        """Whether each receive step's ``match`` is an earlier send step
-        whose message from ``peer[r]`` goes to ``r`` with the receive's
-        tag, every send step matched once and in step order, so no two
-        messages on one channel can swap: the k-th receive step matches
-        the k-th send step, all checked by one stacked comparison."""
+        """Whether the k-th receive step's ``match`` is the k-th send step,
+        an earlier one, whose ranks send to exactly the receive step's
+        ranks, each from its ``peer`` with the receive's tag: then no two
+        messages on one channel can swap.  One scatter of the messages by
+        ``(step, src)`` and one gather by source check every receive."""
         steps = self.steps
         sends = [i for i, step in enumerate(steps) if step.kind is SendOp]
         recvs = [i for i, step in enumerate(steps) if step.kind is RecvOp]
@@ -828,35 +855,58 @@ class Lockstep:
             return False
         if not recvs:
             return True
-        source = np.stack([steps[i].peer for i in recvs])
+        recvs = [steps[i] for i in recvs]
+        row, src, dst, tag, _ = self.messages
+        if [len(s.peer) for s in recvs] != [len(steps[i].peer) for i in sends]:
+            return False
+        source = np.concatenate([s.peer for s in recvs])
         if source.min() < 0 or source.max() >= self.nprocs:
             return False
-        row = np.arange(len(recvs))[:, None]
-        peer = np.stack([steps[i].peer for i in sends])[row, source]
-        tag = np.stack([steps[i].tag for i in sends])[row, source]
+        # each send step's dest and tag by sender, -1 where it is idle
+        dest = np.full((len(sends), self.nprocs), -1)
+        dest[row, src] = dst
+        tags = np.zeros_like(dest)
+        tags[row, src] = tag
         return bool(
-            (peer == np.arange(self.nprocs)).all()
-            and (tag == np.stack([steps[i].tag for i in recvs])).all()
+            (dest[row, source]
+             == np.concatenate([self.ranks(s) for s in recvs])).all()
+            and (tags[row, source]
+                 == np.concatenate([s.tag for s in recvs])).all()
         )
+
+    def per_rank(self, columns: Iterable) -> tuple[tuple, ...]:
+        """Every rank's entries of ``columns`` (one iterable per step over
+        its ranks), in step order."""
+        if all(step.active is None for step in self.steps):
+            return tuple(zip(*columns)) or ((),) * self.nprocs
+        ranks: list[list] = [[] for _ in range(self.nprocs)]
+        for step, column in zip(self.steps, columns):
+            for rank, entry in zip(self.ranks(step).tolist(), column):
+                ranks[rank].append(entry)
+        return tuple(map(tuple, ranks))
 
     def rank_ops(self) -> tuple[tuple, ...]:
         """Every rank's op tuple."""
-        columns: list = []
-        for step in self.steps:
-            if step.kind is ComputeOp:
-                columns.append(map(
-                    ComputeOp, step.seconds.tolist(), step.points.tolist()
-                ))
-            elif step.kind is SendOp:
-                columns.append(map(
-                    SendOp, step.peer.tolist(),
-                    map(Bytes, step.nbytes.tolist()), step.tag.tolist(),
-                ))
-            else:
-                columns.append(map(
-                    RecvOp, step.peer.tolist(), step.tag.tolist()
-                ))
-        return tuple(zip(*columns)) if columns else ((),) * self.nprocs
+        return self.per_rank(
+            map(ComputeOp, step.seconds.tolist(), step.points.tolist())
+            if step.kind is ComputeOp else map(
+                SendOp, step.peer.tolist(),
+                map(Bytes, step.nbytes.tolist()), step.tag.tolist(),
+            ) if step.kind is SendOp else map(
+                RecvOp, step.peer.tolist(), step.tag.tolist()
+            )
+            for step in self.steps
+        )
+
+
+def replayable(
+    machine: MachineModel, program: Lockstep, observed: bool
+) -> bool:
+    """Whether :func:`replay_lockstep` times ``program``'s run exactly: it
+    is paired, the network is no bus, and no fault, protocol, trace or sink
+    ``observed`` the run; otherwise the engine runs it."""
+    bus = machine.network is NetworkScaling.BUS
+    return program.paired and not bus and not observed
 
 
 def replay_lockstep(machine: MachineModel, program: Lockstep) -> RunResult:
@@ -866,11 +916,7 @@ def replay_lockstep(machine: MachineModel, program: Lockstep) -> RunResult:
     if not program.paired:
         raise ValueError("lockstep replay needs a paired program")
     steps, nprocs = program.steps, program.nprocs
-    ranks = np.arange(nprocs)
-    sends = [step for step in steps if step.kind is SendOp]
-    nbytes = np.concatenate([s.nbytes for s in sends] or [ranks[:0]])
-    src = np.tile(ranks, len(sends))
-    dst = np.concatenate([s.peer for s in sends] or [ranks[:0]])
+    _, src, dst, _, nbytes = program.messages
     # the machine's scalar timings, once per distinct message shape
     key = nbytes
     if machine.topology is not None and len(nbytes):
@@ -883,35 +929,54 @@ def replay_lockstep(machine: MachineModel, program: Lockstep) -> RunResult:
             nbytes[first].tolist(), src[first].tolist(), dst[first].tolist()
         )
     ], dtype=float).reshape(-1, 3)[inverse.ravel()]
-    # (send cpu, wire time, receive cpu) of send step k by sender; the
-    # paired receive step k charges its receive cpu by receiver
-    send_cpu, wire, recv_cpu = timings.T.reshape(3, len(sends), nprocs)
-    sources = [step.peer for step in steps if step.kind is RecvOp]
-    if sources:
-        row = np.arange(len(sources))[:, None]
-        recv_cpu = recv_cpu[row, np.stack(sources)]
+    # (send cpu, wire time, receive cpu) of every message, send step by
+    # send step in the order of its ranks
+    send_cpu, wire, recv_cpu = timings.T
     clock, compute, comm, blocked = (np.zeros(nprocs) for _ in range(4))
-    in_flight: deque = deque()  # receive step k takes send step k's
-    sent = received = 0
+    # receive step k takes send step k's (arrivals, receive cpus, senders)
+    in_flight: deque = deque()
+    lo = 0
     for step in steps:
-        kind = step.kind
+        kind, on = step.kind, step.active
         if kind is ComputeOp:
-            clock += step.seconds
-            compute += step.seconds
+            if on is None:
+                clock += step.seconds
+                compute += step.seconds
+            else:
+                clock[on] += step.seconds
+                compute[on] += step.seconds
         elif kind is SendOp:
-            start = clock
-            clock = start + send_cpu[sent]
-            comm += clock - start
-            in_flight.append(clock + wire[sent])
-            sent += 1
+            hi = lo + len(step.peer)
+            if on is None:
+                start = clock
+                clock = start + send_cpu[lo:hi]
+                comm += clock - start
+                in_flight.append((clock + wire[lo:hi], recv_cpu[lo:hi], on))
+            else:
+                start = clock[on]
+                end = start + send_cpu[lo:hi]
+                clock[on] = end
+                comm[on] += end - start
+                in_flight.append((end + wire[lo:hi], recv_cpu[lo:hi], on))
+            lo = hi
         elif kind is RecvOp:
+            arrivals, cpus, senders = in_flight.popleft()
+            at = step.peer if senders is None else np.searchsorted(
+                senders, step.peer
+            )
             # max(arrival, clock) - clock is arrival - clock for a late
             # message, else +0.0: the engine's conditional, bit for bit
-            start = np.maximum(in_flight.popleft()[step.peer], clock)
-            blocked += start - clock
-            clock = start + recv_cpu[received]
-            comm += clock - start
-            received += 1
+            if on is None:
+                start = np.maximum(arrivals[at], clock)
+                blocked += start - clock
+                clock = start + cpus[at]
+                comm += clock - start
+            else:
+                start = np.maximum(arrivals[at], clock[on])
+                blocked[on] += start - clock[on]
+                end = start + cpus[at]
+                clock[on] = end
+                comm[on] += end - start
         else:
             raise TypeError(f"lockstep replay cannot run {kind.__name__}")
     compute_by_rank = tuple(compute.tolist())

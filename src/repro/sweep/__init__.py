@@ -12,8 +12,8 @@ schedules, so results are directly comparable):
 * :func:`run_sequential` — single-processor ground truth.
 
 Every time is the makespan of a simulated program.  Each executor lowers
-a schedule once and both its modes run that lowering: real data, and a
-payload-free ``run_skeleton`` that times class-B/C shapes.
+a schedule once to a lockstep program and both its modes run it: real
+data, and a payload-free ``run_skeleton`` that times class-B/C shapes.
 :func:`best_processor_count` searches processor counts with the
 multipartitioned skeleton.
 """

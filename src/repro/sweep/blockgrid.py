@@ -25,35 +25,49 @@ against which the paper's 3-D multipartitionings were historically compared
 (:mod:`repro.sweep.transpose`) shares the layout and overrides only the
 lowering and interpretation of a cut-axis sweep.
 
-The executor lowers a schedule once into every rank's tuple of primitive
-ops (:mod:`repro.simmpi.message`), with a parallel tuple of
-:class:`BlockSite` entries naming what each entry acts on.  Every tag,
-peer, byte count and compute charge of a block baseline is decided there
-and nowhere else:
+The executor lowers a schedule once to a
+:class:`~repro.simmpi.engine.Lockstep` program, the form the
+multipartitioned compiler emits: one step per op index, its vectors over
+the ranks that run it, and a :class:`BlockSite` naming what each rank's
+entry acts on.  Every tag, peer, byte count and compute charge of a block
+baseline is decided there and nowhere else.  A cut-axis sweep is the
+skewed (affine) schedule of the pipelined loop nest (Adutskevich,
+Bakhanovich & Likhoded, arXiv cs/0606028): chain position ``q`` runs
+chunk ``c`` at time ``c + q``, so each time is a receive, a compute and a
+send step over the ranks with a chunk then, less the chain heads'
+receive and the chain tails' send.  Halo sends and receives are masked at
+the grid's edges; uncut sweeps and local ops are full compute steps.
 
-* :meth:`BlockGridExecutor.run` interprets the ops: the numpy kernels run
-  at compute entries, and each send carries the real carry plane, halo
-  face or transpose piece in place of its declared
-  :class:`~repro.simmpi.message.Bytes`;
-* :meth:`BlockGridExecutor.run_skeleton` replays them as they are, with no
-  scatter, kernel or gather.
+* :meth:`BlockGridExecutor.run` interprets every rank's ops with their
+  sites: the numpy kernels run at compute entries, and each send carries
+  the real carry plane, halo face or transpose piece in place of its
+  declared :class:`~repro.simmpi.message.Bytes`;
+* :meth:`BlockGridExecutor.run_skeleton` times the steps as they are,
+  with :func:`~repro.simmpi.engine.replay_lockstep` unless the run is
+  traced or the machine is a bus, when the engine runs them.
 
-Both go through the engine (a wavefront pipeline is not lockstep: its end
-ranks skip a receive or a send), so their clocks, makespan, message counts
-and byte totals agree bit for bit.  :func:`best_wavefront_chunks` picks the
-pipeline granularity by skeleton makespan.
+Either way their clocks, makespan, message counts and byte totals agree
+bit for bit.  :func:`best_wavefront_chunks` picks the pipeline
+granularity by skeleton makespan.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Any, Callable, Generator, Iterator, NamedTuple
+from typing import Any, Generator, NamedTuple
 
 import numpy as np
 
-from repro.simmpi.engine import run_programs
+from repro.simmpi.engine import (
+    Lockstep,
+    Step,
+    replay_lockstep,
+    replayable,
+    run_programs,
+)
 from repro.simmpi.machine import MachineModel
-from repro.simmpi.message import Bytes, ComputeOp, RecvOp, SendOp
+from repro.simmpi.message import ComputeOp, RecvOp, SendOp
 from repro.simmpi.trace import RunResult
 
 from .compile import ITEMSIZE
@@ -64,66 +78,28 @@ from .ops import (
     PointwiseOp,
     StencilOp,
     SweepOp,
+    apply_local_op,
+    as_named,
     scan_op,
+    unwrap_named,
 )
 from .tiles import axis_extents
 
-__all__ = [
-    "BlockGridExecutor",
-    "apply_local_op",
-    "as_named",
-    "best_wavefront_chunks",
-    "unwrap_named",
-]
+__all__ = ["BlockGridExecutor", "best_wavefront_chunks"]
 
 #: ops every rank applies to its whole block as one local compute
 _LOCAL = (PointwiseOp, BinaryPointwiseOp, CopyOp)
 
 
-def as_named(arrays) -> tuple[bool, dict]:
-    """Normalize executor input: single array -> {"u": array}."""
-    single = not isinstance(arrays, dict)
-    named = {"u": arrays} if single else arrays
-    shapes = {np.asarray(a).shape for a in named.values()}
-    if len(shapes) > 1:
-        raise ValueError(f"aligned arrays must share a shape, got {shapes}")
-    return single, named
-
-
-def unwrap_named(single: bool, named: dict):
-    return named["u"] if single else named
-
-
-def apply_local_op(op, get: Callable[[str], np.ndarray]) -> None:
-    """Apply a communication-free op (pointwise / binary / copy) in place
-    to this rank's blocks; ``get(name)`` returns the local block of an
-    array."""
-    if isinstance(op, PointwiseOp):
-        slab = get(op.array)
-        result = op.fn(slab)
-        if result.shape != slab.shape:
-            raise ValueError(f"{op.name} changed the slab's shape")
-        slab[...] = result
-    elif isinstance(op, BinaryPointwiseOp):
-        target = get(op.target)
-        result = op.fn(target, get(op.source))
-        if result.shape != target.shape:
-            raise ValueError(f"{op.name} changed the slab's shape")
-        target[...] = result
-    elif isinstance(op, CopyOp):
-        get(op.dst)[...] = get(op.src)
-    else:
-        raise TypeError(f"not a local slab op: {op!r}")
-
-
 class BlockSite(NamedTuple):
     """What one lowered entry of a block rank program acts on.
 
-    ``region`` is a tuple of slices: the chunk of the block a wavefront
-    entry scans, the face a halo send copies, where a halo receive's ghost
-    lands in the padded block.  ``key`` is a wavefront entry's global
-    ``(lo, hi)`` span along the swept axis, or a transposed sweep's stage
-    (``"forward"``, ``"sweep"`` or ``"back"``)."""
+    ``region`` is the chunk of the block (a tuple of slices) a wavefront
+    compute scans, and ``key`` its global ``(lo, hi)`` span along the
+    swept axis; a halo entry's ``key`` is its ``(axis, side)``, a
+    transposed sweep's its stage (``"forward"``, ``"sweep"`` or
+    ``"back"``).  A step's site is one :class:`BlockSite` for all its
+    ranks, or, for a wavefront compute, a function of the rank."""
 
     op_index: int
     region: tuple = ()
@@ -171,29 +147,31 @@ class BlockGridExecutor:
             math.prod(self.grid[a + 1:]) for a in range(len(shape))
         )
         self._spans = [axis_extents(n, g) for n, g in zip(shape, self.grid)]
+        #: every rank's grid coordinates and block extents, (nprocs, ndim)
+        self._at = np.indices(self.grid).reshape(len(shape), -1).T
+        self._blocks = np.array([
+            [spans[c][1] - spans[c][0] for spans, c in zip(self._spans, at)]
+            for at in self._at.tolist()
+        ], dtype=np.int64)
+        self._points = self._blocks.prod(axis=1)
+        self._ranks = np.arange(self.nprocs)
 
     # -- rank geometry -------------------------------------------------------
 
-    def _coords(self, rank: int) -> tuple[int, ...]:
-        return tuple(
-            rank // stride % g for stride, g in zip(self._strides, self.grid)
-        )
-
     def _rank_sel(self, rank: int) -> tuple:
         return tuple(
-            slice(*self._spans[a][c])
-            for a, c in enumerate(self._coords(rank))
+            slice(*self._spans[a][c]) for a, c in enumerate(self._at[rank])
         )
 
-    def _block_shape(self, rank: int) -> tuple[int, ...]:
-        return tuple(s.stop - s.start for s in self._rank_sel(rank))
-
-    def _charge(self, shape, flops_per_point: float) -> ComputeOp:
-        """One kernel pass over a block of ``shape``."""
-        size = math.prod(shape)
-        return ComputeOp(
-            self.machine.compute_time(size, flops_per_point, tiles=1), size
-        )
+    def _compute(self, points, ops, tiles, site, active=None) -> Step:
+        """A compute step charging each rank ``machine.compute_time`` of its
+        ``points``, called once per distinct count."""
+        values, inverse = np.unique(points, return_inverse=True)
+        seconds = np.array([
+            self.machine.compute_time(n, ops, tiles) for n in values.tolist()
+        ])[inverse.ravel()]
+        return Step(ComputeOp, seconds=seconds, points=points, site=site,
+                    active=active)
 
     # -- public API ----------------------------------------------------------
 
@@ -211,9 +189,15 @@ class BlockGridExecutor:
                 per_rank[rank][name] = np.array(
                     array[self._rank_sel(rank)], copy=True
                 )
+        program = self.lower(schedule)
+        sites = program.per_rank(
+            map(step.site, program.ranks(step).tolist())
+            if callable(step.site) else [step.site] * len(program.ranks(step))
+            for step in program.steps
+        )
         programs = [
-            self._interpret(rank, ops, sites, per_rank[rank], schedule)
-            for rank, (ops, sites) in enumerate(self._lower(schedule))
+            self._interpret(rank, *entries, per_rank[rank], schedule)
+            for rank, entries in enumerate(zip(program.rank_ops(), sites))
         ]
         result = run_programs(
             self.machine, programs, record_events=self.record_events
@@ -227,105 +211,123 @@ class BlockGridExecutor:
         return unwrap_named(single, out), result
 
     def run_skeleton(self, schedule) -> RunResult:
-        """Replay the lowered ``schedule`` payload-free: the ops
-        :meth:`run` interprets, so every number of the result equals
-        real-data mode's."""
+        """Time the lowered ``schedule`` payload-free: the steps :meth:`run`
+        interprets, replayed in lockstep, or through the engine when the
+        run is traced or the machine is a bus, so every number of the
+        result equals real-data mode's."""
+        program = self.lower(schedule)
+        if replayable(self.machine, program, self.record_events):
+            return replay_lockstep(self.machine, program)
         return run_programs(
             self.machine,
             # a generator expression ignores what the engine sends back
-            [(op for op in ops) for ops, _ in self._lower(schedule)],
+            [(op for op in ops) for ops in program.rank_ops()],
             record_events=self.record_events,
         )
 
     # -- lowering ------------------------------------------------------------
 
-    def _lower(self, schedule) -> tuple[tuple[tuple, tuple], ...]:
-        """Every rank's ``(ops, sites)`` for ``schedule``."""
-        return tuple(
-            tuple(zip(*self._lower_rank(rank, schedule))) or ((), ())
-            for rank in range(self.nprocs)
-        )
-
-    def _lower_rank(self, rank: int, schedule) -> Iterator[tuple]:
-        block = self._block_shape(rank)
+    def lower(self, schedule) -> Lockstep:
+        """The lockstep program of ``schedule`` on every rank."""
+        steps: list[Step] = []
+        ndim = len(self.shape)
         for index, op in enumerate(schedule):
             sweep = isinstance(op, (SweepOp, BlockSweepOp))
             if isinstance(op, StencilOp):
-                yield from self._lower_stencil(rank, index, op, block)
-            elif sweep and self.grid[op.axis % len(block)] > 1:
-                axis = op.axis % len(block)
-                yield from self._lower_cut_sweep(rank, index, op, axis)
+                self._stencil(index, op, steps)
+            elif sweep and self.grid[op.axis % ndim] > 1:
+                self._cut_sweep(index, op, op.axis % ndim, steps)
             elif sweep or isinstance(op, _LOCAL):
-                yield self._charge(block, op.flops_per_point), BlockSite(index)
+                steps.append(self._compute(
+                    self._points, op.flops_per_point, 1, BlockSite(index)
+                ))
             else:
                 raise TypeError(f"unsupported op {op!r}")
+        return Lockstep(tuple(steps), self.nprocs)
 
-    def _lower_cut_sweep(
-        self, rank: int, index: int, op, axis: int
-    ) -> Iterator[tuple]:
-        """Wavefront along cut ``axis``: pipeline chunk by chunk down this
-        rank's chain, chunking over the first other cut axis (keeping chunk
-        traffic within the chain), else the first other axis."""
-        block = self._block_shape(rank)
-        pos, chain = self._coords(rank)[axis], self.grid[axis]
-        span = self._spans[axis][pos]
+    def _cut_sweep(self, index: int, op, axis: int, steps: list) -> None:
+        """Wavefront along cut ``axis``, as the skewed schedule of the
+        pipelined loop nest: chain position ``q`` (counted downstream) runs
+        chunk ``c`` at time ``c + q``, a receive, a compute and a send step.
+        Chain heads skip the receive, chain tails the send, and a rank is
+        idle before its first chunk and after its last (chains with fewer
+        chunks finish early).  Chunks cut the first other cut axis (keeping
+        chunk traffic within the chain), else the first other axis."""
+        blocks, chain, ranks = self._blocks, self.grid[axis], self._ranks
+        coord = self._at[:, axis]
+        pos = chain - 1 - coord if op.reverse else coord
+        hop = (-1 if op.reverse else 1) * self._strides[axis]
         chunk_axis = next(
-            a for a in self._cut_axes + tuple(range(len(block))) if a != axis
+            a for a in self._cut_axes + tuple(range(len(self.shape)))
+            if a != axis
         )
-        n_chunk = block[chunk_axis]
+        extent = blocks[:, chunk_axis]
+        count = np.minimum(self.chunks, extent)
+        base, rem = np.divmod(extent, count)  # axis_extents' chunk heights
+        row = self._points // extent  # points per chunk-axis plane
+        plane = ITEMSIZE * (row // blocks[:, axis])  # carry bytes per plane
+        tag, carry, sent = (index + 1) * 100_000, BlockSite(index), -1
+        for t in range(int((pos + count).max())):
+            k = t - pos
+            live = (k >= 0) & (k < count)
+            height = base + (k < rem)
+            if (on := ranks[live & (pos > 0)]).size:
+                steps.append(Step(RecvOp, on - hop, tag + k[on], match=sent,
+                                  site=carry, active=on))
+            on = ranks[live]
+            steps.append(self._compute(
+                height[on] * row[on], op.flops_per_point, 1,
+                functools.partial(self._chunk, index, axis, chunk_axis, k),
+                None if live.all() else on,
+            ))
+            if (on := ranks[live & (pos < chain - 1)]).size:
+                sent = len(steps)
+                steps.append(Step(SendOp, on + hop, tag + k[on],
+                                  height[on] * plane[on], site=carry,
+                                  active=on))
 
-        step = -1 if op.reverse else +1
-        first = pos == (0 if step == 1 else chain - 1)
-        last = pos == (chain - 1 if step == 1 else 0)
-        upstream = rank - step * self._strides[axis]
-        downstream = rank + step * self._strides[axis]
-        tag_base = (index + 1) * 100_000
+    def _chunk(
+        self, index: int, axis: int, chunk_axis: int, chunk, rank: int
+    ) -> BlockSite:
+        """The site of ``rank``'s wavefront compute of chunk
+        ``chunk[rank]``: the chunk it scans and its global span along the
+        swept axis."""
+        extent = int(self._blocks[rank, chunk_axis])
+        lo, hi = axis_extents(extent, min(self.chunks, extent))[chunk[rank]]
+        return BlockSite(index, _region(chunk_axis, lo, hi),
+                         self._spans[axis][self._at[rank, axis]])
 
-        for k, (lo, hi) in enumerate(
-            axis_extents(n_chunk, min(self.chunks, n_chunk))
-        ):
-            chunk = list(block)
-            chunk[chunk_axis] = hi - lo
-            site = BlockSite(index, _region(chunk_axis, lo, hi), span)
-            if not first:
-                yield RecvOp(upstream, tag_base + k), site
-            yield self._charge(chunk, op.flops_per_point), site
-            if not last:
-                plane = ITEMSIZE * math.prod(chunk) // chunk[axis]
-                yield SendOp(downstream, Bytes(plane), tag_base + k), site
-
-    def _lower_stencil(
-        self, rank: int, index: int, op: StencilOp, block: tuple
-    ) -> Iterator[tuple]:
+    def _stencil(self, index: int, op: StencilOp, steps: list) -> None:
         """Halo exchange across each cut axis, one after the other (star
         stencil: axis fills are independent), then the update.  Along each
-        axis a rank sends its trailing planes downstream (their low ghosts)
-        and its leading planes upstream (their high ghosts) before
-        receiving; a receive's region is where its ghost lands in the
-        padded block."""
-        coords = self._coords(rank)
-        reach = op.pad_widths(len(block))
-        core = [slice(lo, lo + n) for n, (lo, _) in zip(block, reach)]
+        axis every rank sends its trailing planes downstream (their low
+        ghosts, side 0) and its leading planes upstream (their high ghosts,
+        side 1), then receives; a grid edge has no neighbour to send to.
+        An entry's site names its ``(axis, side)``."""
+        reach = op.pad_widths(len(self.shape))
         tag_base = (index + 1) * 100_000 + 50_000
         for i, axis in enumerate(self._cut_axes):
-            (lo_w, hi_w), n = reach[axis], block[axis]
-            pos, stride = coords[axis], self._strides[axis]
-            plane, tag = ITEMSIZE * math.prod(block) // n, tag_base + 10 * i
-            down, up = pos + 1 < self.grid[axis], pos > 0
-            before, after = tuple(core[:axis]), tuple(core[axis + 1:])
-            if lo_w and down:
-                face = BlockSite(index, _region(axis, n - lo_w, n))
-                yield SendOp(rank + stride, Bytes(lo_w * plane), tag), face
-            if hi_w and up:
-                face = BlockSite(index, _region(axis, 0, hi_w))
-                yield SendOp(rank - stride, Bytes(hi_w * plane), tag + 1), face
-            if lo_w and up:
-                land = before + (slice(0, lo_w),) + after
-                yield RecvOp(rank - stride, tag), BlockSite(index, land)
-            if hi_w and down:
-                land = before + (slice(lo_w + n, lo_w + n + hi_w),) + after
-                yield RecvOp(rank + stride, tag + 1), BlockSite(index, land)
-        yield self._charge(block, op.flops_per_point), BlockSite(index)
+            coord, stride = self._at[:, axis], self._strides[axis]
+            plane = ITEMSIZE * self._points // self._blocks[:, axis]
+            sides = [
+                (width, self._ranks[senders], hop, tag_base + 10 * i + side,
+                 BlockSite(index, (), (axis, side)))
+                for side, (width, senders, hop) in enumerate((
+                    (reach[axis][0], coord + 1 < self.grid[axis], stride),
+                    (reach[axis][1], coord > 0, -stride),
+                ))
+                if width
+            ]
+            first = len(steps)
+            for width, on, hop, tag, site in sides:
+                steps.append(Step(SendOp, on + hop, np.full(len(on), tag),
+                                  width * plane[on], site=site, active=on))
+            for sent, (_, on, hop, tag, site) in enumerate(sides, first):
+                steps.append(Step(RecvOp, on, np.full(len(on), tag),
+                                  match=sent, site=site, active=on + hop))
+        steps.append(self._compute(
+            self._points, op.flops_per_point, 1, BlockSite(index)
+        ))
 
     # -- real-data interpretation --------------------------------------------
 
@@ -344,7 +346,7 @@ class BlockGridExecutor:
             return blocks[name]
 
         state: dict = {}  # what a cut-axis sweep keeps between entries
-        ghosts: list = []  # a stencil's (padded region, received face)
+        ghosts: list = []  # a stencil's ((axis, side), received face)
         for prim, site in zip(ops, sites):
             op = schedule[site.op_index]
             cls = prim.__class__
@@ -358,26 +360,16 @@ class BlockGridExecutor:
                 scan_op(block, op, 0, block.shape[axis], block.shape[axis],
                         carry=None)
             elif cls is SendOp:
-                # copy: the face may alias the block about to be updated
-                face = np.array(get(op.array)[site.region], copy=True)
+                face = op.face(get(op.array), *site.key)
                 yield SendOp(prim.dest, face, prim.tag)
                 continue
             elif cls is RecvOp:
-                ghosts.append((site.region, (yield prim)))
+                ghosts.append((site.key, (yield prim)))
                 continue
             elif isinstance(op, StencilOp):
-                block = get(op.array)
-                padded = np.pad(block, op.pad_widths(block.ndim))
-                for region, face in ghosts:
-                    padded[region] = face
-                ghosts = []
-                result = op.fn(padded)
-                if result.shape != block.shape:
-                    raise ValueError(
-                        f"{op.name} must return the core shape "
-                        f"{block.shape}, got {result.shape}"
-                    )
+                result = op.update(get(op.array), ghosts)
                 get(op.out_array or op.array)[...] = result
+                ghosts = []
             else:
                 apply_local_op(op, get)
             yield prim
@@ -412,15 +404,16 @@ def best_wavefront_chunks(
     schedule,
 ) -> tuple[int, float]:
     """``(chunks, makespan)`` of the wavefront ``(nprocs,)`` with the least
-    skeleton makespan over 1, 2, 4, ... chunks, up to the extent of the
-    chunked axis 1: the tuning knob a careful hand coder would sweep."""
+    skeleton makespan (the fewest chunks on a tie): the tuning knob a
+    careful hand coder would sweep.  The candidates are the counts
+    ``ceil(n / h)`` for chunk heights ``h = 1 .. n`` along the chunked
+    axis 1, one per distinct tallest chunk."""
+    n = shape[1]
     best = (1, float("inf"))
-    chunks = 1
-    while chunks <= shape[1]:
+    for chunks in sorted({-(-n // h) for h in range(1, n + 1)}):
         makespan = BlockGridExecutor(
             (nprocs,), shape, machine, chunks=chunks
         ).run_skeleton(schedule).makespan
         if makespan < best[1]:
             best = (chunks, makespan)
-        chunks *= 2
     return best

@@ -140,8 +140,9 @@ class CompiledSchedule:
             if step.site not in made:
                 index, phase, tiles = step.site
                 made[step.site] = [Site(index, t, phase) for t in tiles()]
-        columns = [made[step.site] for step in self.lockstep.steps]
-        return tuple(zip(*columns)) if columns else ((),) * self.nprocs
+        return self.lockstep.per_rank(
+            made[step.site] for step in self.lockstep.steps
+        )
 
     @functools.cached_property
     def marked(self) -> tuple[tuple[tuple, tuple], ...]:

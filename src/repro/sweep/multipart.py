@@ -44,25 +44,25 @@ from typing import Generator
 
 import numpy as np
 
-from repro.core.cost import NetworkScaling
 from repro.core.mapping import Multipartitioning
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.protocol import ProtocolConfig, ReliableComm
 from repro.simmpi.comm import Comm
-from repro.simmpi.engine import replay_lockstep, run_programs
+from repro.simmpi.engine import replay_lockstep, replayable, run_programs
 from repro.simmpi.machine import MachineModel
 from repro.simmpi.message import RecvOp, SendOp
 from repro.simmpi.trace import RunResult
 
 from .compile import CompiledSchedule, ScheduleCompiler, Site, neighbor_tile
 from .ops import (
-    BinaryPointwiseOp,
     BlockSweepOp,
-    CopyOp,
     StencilOp,
     SweepOp,
+    apply_local_op,
+    as_named,
     scan_op,
+    unwrap_named,
 )
 
 __all__ = ["MultipartExecutor", "best_processor_count"]
@@ -214,8 +214,7 @@ class MultipartExecutor:
         """
         if self.payload == "skeleton":
             return None, self.run_skeleton(schedule)
-        single = not isinstance(arrays, dict)
-        named = {"u": arrays} if single else arrays
+        single, named = as_named(arrays)
         mp = self.partitioning
         per_rank_named: list[dict] = [
             {} for _ in range(mp.nprocs)
@@ -237,7 +236,7 @@ class MultipartExecutor:
             )
             for name in named
         }
-        return (out["u"] if single else out), result
+        return unwrap_named(single, out), result
 
     def run_skeleton(self, schedule) -> "RunResult":
         """Execute ``schedule`` payload-free and return the
@@ -253,14 +252,11 @@ class MultipartExecutor:
         :func:`~repro.simmpi.engine.replay_lockstep`, which gives the
         engine's result without its event loop or per-rank ops."""
         compiled = self.compile(schedule)
-        if (
-            self.faults is None
-            and self.protocol is None
-            and not self.record_events
-            and not self.sinks
-            and self.machine.network is not NetworkScaling.BUS
-            and compiled.lockstep.paired
-        ):
+        observed = (
+            self.faults is not None or self.protocol is not None
+            or self.record_events or bool(self.sinks)
+        )
+        if replayable(self.machine, compiled.lockstep, observed):
             return replay_lockstep(self.machine, compiled.lockstep)
         comms = [
             self._make_comm(rank) for rank in range(self.partitioning.nprocs)
@@ -355,41 +351,20 @@ class MultipartExecutor:
                         blocks_of(op.array), op, site, carries
                     )
                 elif isinstance(op, StencilOp):
-                    self._apply_stencil(
-                        blocks_of(op.array),
-                        blocks_of(op.out_array or op.array),
-                        op, site, ghosts,
-                    )
-                    ghosts = {}
-                elif isinstance(op, BinaryPointwiseOp):
-                    source = blocks_of(op.source)
-                    self._update(
-                        blocks_of(op.target), site, op.name,
-                        lambda tile, block: op.fn(block, source[tile]),
-                    )
-                elif isinstance(op, CopyOp):
-                    src = blocks_of(op.src)
-                    dst = blocks_of(op.dst)
+                    blocks = blocks_of(op.array)
+                    out = blocks_of(op.out_array or op.array)
                     for tile in site.tiles:
-                        dst[tile][...] = src[tile]
+                        out[tile][...] = op.update(
+                            blocks[tile], ghosts.get(tile, {}).items()
+                        )
+                    ghosts = {}
                 else:
-                    self._update(
-                        blocks_of(op.array), site, op.name,
-                        lambda tile, block: op.fn(block),
-                    )
+                    for tile in site.tiles:
+                        apply_local_op(
+                            op, lambda name, tile=tile: blocks_of(name)[tile]
+                        )
                 yield prim
         return comm.rank
-
-    @staticmethod
-    def _update(blocks, site: Site, name: str, fn) -> None:
-        """In-place elementwise update of the site's tiles (in place so
-        scatter/gather aliasing stays intact)."""
-        for tile in site.tiles:
-            block = blocks[tile]
-            result = fn(tile, block)
-            if result.shape != block.shape:
-                raise ValueError(f"{name} changed a tile's shape")
-            block[...] = result
 
     def _scan(self, blocks, op, site: Site, carries: dict) -> dict:
         """Scan the slab's tiles, consuming their incoming carries; returns
@@ -407,60 +382,13 @@ class MultipartExecutor:
 
     def _faces(self, blocks, op: StencilOp, site: Site) -> _FacePayload:
         """The halo faces the site's tiles send to their neighbours."""
-        ndim = self.grid.ndim
         axis, side = divmod(site.phase, 2)
         step = +1 if side == 0 else -1
-        width = op.pad_widths(ndim)[axis][side]
-        items = []
-        for tile in site.tiles:
-            block = blocks[tile]
-            sel = [slice(None)] * ndim
-            n = block.shape[axis]
-            sel[axis] = slice(n - width, n) if step == 1 else slice(0, width)
-            # copy=True, NOT ascontiguousarray: a leading-axis slice is
-            # already contiguous and would alias the block, which the
-            # receiver must not see post-update
-            items.append((
-                neighbor_tile(tile, axis, step),
-                np.array(block[tuple(sel)], copy=True),
-            ))
+        items = [
+            (neighbor_tile(tile, axis, step), op.face(blocks[tile], axis, side))
+            for tile in site.tiles
+        ]
         return _FacePayload(items)
-
-    def _apply_stencil(
-        self, blocks, out_blocks, op: StencilOp, site: Site, ghosts: dict
-    ) -> None:
-        """Star-stencil update of every tile from its block padded with the
-        received ghosts.  Ghosts beyond the global boundary stay zero;
-        padding corners stay zero (the star contract)."""
-        reach = op.pad_widths(self.grid.ndim)
-        for tile in site.tiles:
-            block = blocks[tile]
-            padded = np.zeros(
-                tuple(
-                    s + lo + hi
-                    for s, (lo, hi) in zip(block.shape, reach)
-                ),
-                dtype=block.dtype,
-            )
-            core = tuple(
-                slice(lo, lo + s) for s, (lo, _) in zip(block.shape, reach)
-            )
-            padded[core] = block
-            for (axis, side), face in ghosts.get(tile, {}).items():
-                lo, hi = reach[axis]
-                sel = list(core)
-                sel[axis] = (
-                    slice(0, lo)
-                    if side == 0
-                    else slice(lo + block.shape[axis], lo + block.shape[axis] + hi)
-                )
-                padded[tuple(sel)] = face
-            result = op.fn(padded)
-            if result.shape != block.shape:
-                raise ValueError(
-                    f"{op.name} must return the core shape {block.shape}"
-                )
-            out_blocks[tile][...] = result
 
 
 def best_processor_count(

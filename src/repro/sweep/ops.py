@@ -21,6 +21,9 @@ __all__ = [
     "CopyOp",
     "StencilOp",
     "Schedule",
+    "apply_local_op",
+    "as_named",
+    "unwrap_named",
     "thomas_ops",
     "block_thomas_ops",
     "star_laplacian",
@@ -183,6 +186,36 @@ class StencilOp:
             )
         return self.reach
 
+    def face(self, block: np.ndarray, axis: int, side: int) -> np.ndarray:
+        """A copy of the planes of ``block`` that fill its neighbour's
+        ghosts on ``side`` along ``axis``: the trailing planes for the low
+        ghosts (side 0), the leading ones for the high ghosts (side 1)."""
+        lo, hi = self.pad_widths(block.ndim)[axis]
+        n = block.shape[axis]
+        sel = [slice(None)] * block.ndim
+        sel[axis] = slice(n - lo, n) if side == 0 else slice(0, hi)
+        # copy: a leading-axis slice would alias the block, which the
+        # receiver must not see updated
+        return np.array(block[tuple(sel)], copy=True)
+
+    def update(self, block: np.ndarray, ghosts=()) -> np.ndarray:
+        """``fn`` of ``block`` padded with zeros and the received
+        ``((axis, side), face)`` ghosts; the core it returns."""
+        reach = self.pad_widths(block.ndim)
+        padded = np.pad(block, reach)
+        for (axis, side), face in ghosts:
+            (lo, hi), n = reach[axis], block.shape[axis]
+            sel = [slice(w, w + m) for m, (w, _) in zip(block.shape, reach)]
+            sel[axis] = slice(0, lo) if side == 0 else slice(lo + n, lo + n + hi)
+            padded[tuple(sel)] = face
+        result = self.fn(padded)
+        if result.shape != block.shape:
+            raise ValueError(
+                f"{self.name} must return the core shape {block.shape}, "
+                f"got {result.shape}"
+            )
+        return result
+
 
 @dataclasses.dataclass(frozen=True)
 class BinaryPointwiseOp:
@@ -216,6 +249,40 @@ class CopyOp:
 
 
 Schedule = list  # list of the op dataclasses above
+
+
+def as_named(arrays) -> tuple[bool, dict]:
+    """Normalize executor input: single array -> {"u": array}."""
+    single = not isinstance(arrays, dict)
+    named = {"u": arrays} if single else arrays
+    shapes = {np.asarray(a).shape for a in named.values()}
+    if len(shapes) > 1:
+        raise ValueError(f"aligned arrays must share a shape, got {shapes}")
+    return single, named
+
+
+def unwrap_named(single: bool, named: dict):
+    return named["u"] if single else named
+
+
+def apply_local_op(op, get: Callable[[str], np.ndarray]) -> None:
+    """Apply a communication-free op (pointwise / binary / copy) in place
+    to one block of the arrays (a rank's block or tile, or the whole
+    array); ``get(name)`` returns that block of an array."""
+    if isinstance(op, CopyOp):
+        get(op.dst)[...] = get(op.src)
+        return
+    if isinstance(op, PointwiseOp):
+        target = get(op.array)
+        result = op.fn(target)
+    elif isinstance(op, BinaryPointwiseOp):
+        target = get(op.target)
+        result = op.fn(target, get(op.source))
+    else:
+        raise TypeError(f"unsupported op {op!r}")
+    if result.shape != target.shape:
+        raise ValueError(f"{op.name} changed the block's shape")
+    target[...] = result
 
 
 def star_laplacian(ndim: int, weight: float = 0.1) -> "StencilOp":

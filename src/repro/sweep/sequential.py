@@ -9,13 +9,13 @@ import numpy as np
 from repro.simmpi.machine import MachineModel
 
 from .ops import (
-    BinaryPointwiseOp,
     BlockSweepOp,
-    CopyOp,
-    PointwiseOp,
     StencilOp,
     SweepOp,
+    apply_local_op,
+    as_named,
     scan_op,
+    unwrap_named,
 )
 
 __all__ = ["run_sequential", "sequential_time"]
@@ -28,15 +28,11 @@ def run_sequential(arrays, schedule):
     array name "u" and a single array is returned) or a dict of aligned
     same-shape arrays keyed by name (a dict of new arrays is returned).
     """
-    single = not isinstance(arrays, dict)
-    named = {"u": arrays} if single else arrays
+    single, named = as_named(arrays)
     out = {
         name: np.array(a, dtype=np.float64, copy=True)
         for name, a in named.items()
     }
-    shapes = {a.shape for a in out.values()}
-    if len(shapes) > 1:
-        raise ValueError(f"aligned arrays must share a shape, got {shapes}")
 
     def get(name: str) -> np.ndarray:
         if name not in out:
@@ -49,36 +45,10 @@ def run_sequential(arrays, schedule):
             n = target.shape[op.axis % target.ndim]
             scan_op(target, op, 0, n, n, carry=None)
         elif isinstance(op, StencilOp):
-            src = get(op.array)
-            padded = np.pad(src, op.pad_widths(src.ndim), mode="constant")
-            result = op.fn(padded)
-            if result.shape != src.shape:
-                raise ValueError(
-                    f"{op.name} must return the core shape {src.shape}, "
-                    f"got {result.shape}"
-                )
-            dst = op.out_array or op.array
-            get(dst)[...] = result
-        elif isinstance(op, BinaryPointwiseOp):
-            target = get(op.target)
-            result = op.fn(target, get(op.source))
-            if result.shape != target.shape:
-                raise ValueError(f"{op.name} changed the array's shape")
-            target[...] = result
-        elif isinstance(op, CopyOp):
-            get(op.dst)[...] = get(op.src)
-        elif isinstance(op, PointwiseOp):
-            target = get(op.array)
-            result = op.fn(target)
-            if result.shape != target.shape:
-                raise ValueError(
-                    f"{op.name} changed shape {target.shape} -> "
-                    f"{result.shape}"
-                )
-            target[...] = result
+            get(op.out_array or op.array)[...] = op.update(get(op.array))
         else:
-            raise TypeError(f"unsupported op {op!r}")
-    return out["u"] if single else out
+            apply_local_op(op, get)
+    return unwrap_named(single, out)
 
 
 def sequential_time(

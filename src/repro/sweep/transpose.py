@@ -7,8 +7,10 @@ there.  To sweep along ``part_axis`` itself the data is redistributed
 (all-to-all "transpose") so that ``part_axis`` becomes local and
 ``alt_axis`` is partitioned, the sweep runs locally, and the data is
 transposed back.  The executor overrides only the lowering and
-interpretation of that sweep; both modes of :class:`BlockGridExecutor`
-(real data and skeleton) run the one lowering.
+interpretation of that sweep: pack, one full send and receive step per
+all-to-all round, the local sweep, pack, and the rounds back.  Both modes
+of :class:`BlockGridExecutor` (real data and skeleton) run the one
+lockstep program.
 
 This is the strategy's defining trade: perfect efficiency during each sweep,
 paid for by two all-to-alls moving (almost) the whole array per swept
@@ -17,14 +19,14 @@ dimension (Section 1's "dynamic block partitioning").
 
 from __future__ import annotations
 
-import math
-from typing import Generator, Iterator
+from typing import Generator
 
 import numpy as np
 
 from repro.simmpi.comm import _TAG_ALLTOALL
+from repro.simmpi.engine import Step
 from repro.simmpi.machine import MachineModel
-from repro.simmpi.message import Bytes, ComputeOp, RecvOp, SendOp
+from repro.simmpi.message import ComputeOp, RecvOp, SendOp
 
 from .blockgrid import BlockGridExecutor, BlockSite, _region
 from .compile import ITEMSIZE
@@ -67,15 +69,10 @@ class TransposeExecutor(BlockGridExecutor):
         self.part_axis = part_axis
         self.alt_axis = alt_axis
         self._alt_spans = axis_extents(shape[alt_axis], nprocs)
-        self._round_ops: dict[tuple[int, str], tuple] = {}
-
-    def _work_shape(self, rank: int) -> list[int]:
-        """The rank's share while ``part_axis`` is local: the whole array
-        cut along ``alt_axis``."""
-        work = list(self.shape)
-        lo, hi = self._alt_spans[rank]
-        work[self.alt_axis] = hi - lo
-        return work
+        #: every rank's share while ``part_axis`` is local: the whole array
+        #: cut along ``alt_axis``, (nprocs, ndim)
+        self._work = np.tile(np.array(shape, dtype=np.int64), (nprocs, 1))
+        self._work[:, alt_axis] = [hi - lo for lo, hi in self._alt_spans]
 
     def _cuts(self, stage: str) -> tuple:
         """``(axis, spans)`` a stage's pieces are cut along, and those of
@@ -85,53 +82,37 @@ class TransposeExecutor(BlockGridExecutor):
         part = (self.part_axis, self._spans[self.part_axis])
         return (alt, part) if stage == "forward" else (part, alt)
 
-    def _pack(self, shape) -> ComputeOp:
-        """Pack + unpack are real memory passes: one element pass each."""
-        size = math.prod(shape)
-        return ComputeOp(self.machine.compute_time(size, ops=2.0), size)
-
-    def _lower_cut_sweep(
-        self, rank: int, index: int, op, axis: int
-    ) -> Iterator[tuple]:
+    def _cut_sweep(self, index: int, op, axis: int, steps: list) -> None:
         """Pack, the exchange rounds of :meth:`~repro.simmpi.comm.Comm
         .alltoall` that make ``axis`` local, the local sweep, pack, and
-        the rounds back."""
-        forward, sweep, back = (
-            BlockSite(index, (), stage)
-            for stage in ("forward", "sweep", "back")
-        )
-        work = self._work_shape(rank)
-        yield self._pack(self._block_shape(rank)), forward
-        for prim in self._rounds(rank, "forward"):
-            yield prim, forward
-        yield self._charge(work, op.flops_per_point), sweep
-        yield self._pack(work), back
-        for prim in self._rounds(rank, "back"):
-            yield prim, back
+        the rounds back.  Pack + unpack are real memory passes: one element
+        pass each."""
+        work = self._work.prod(axis=1)
+        for stage, points, ops, tiles in (
+            ("forward", self._points, 2.0, 0),
+            ("sweep", work, op.flops_per_point, 1),
+            ("back", work, 2.0, 0),
+        ):
+            site = BlockSite(index, (), stage)
+            steps.append(self._compute(points, ops, tiles, site))
+            if stage != "sweep":
+                self._exchange(stage, site, steps)
 
-    def _rounds(self, rank: int, stage: str) -> tuple:
-        """The ``p - 1`` rounds of :meth:`~repro.simmpi.comm.Comm.alltoall`
-        (in round ``shift`` the rank sends rank ``rank + shift`` its piece
-        and receives from rank ``rank - shift``), the same for every
-        transposed sweep, so built once per rank and stage."""
-        key = (rank, stage)
-        if key not in self._round_ops:
-            (axis, spans), _ = self._cuts(stage)
-            shape = (
-                self._block_shape(rank) if stage == "forward"
-                else self._work_shape(rank)
-            )
-            p, rounds = self.nprocs, []
-            for shift in range(1, p):
-                lo, hi = spans[(rank + shift) % p]
-                piece = math.prod(shape) // shape[axis] * (hi - lo)
-                tag = _TAG_ALLTOALL + shift
-                rounds += [
-                    SendOp((rank + shift) % p, Bytes(ITEMSIZE * piece), tag),
-                    RecvOp((rank - shift) % p, tag),
-                ]
-            self._round_ops[key] = tuple(rounds)
-        return self._round_ops[key]
+    def _exchange(self, stage: str, site: BlockSite, steps: list) -> None:
+        """The ``p - 1`` rounds of :meth:`~repro.simmpi.comm.Comm.alltoall`,
+        a send and a receive step each: in round ``shift`` every rank sends
+        rank ``rank + shift`` its piece and receives from ``rank - shift``."""
+        (axis, spans), _ = self._cuts(stage)
+        shape = self._blocks if stage == "forward" else self._work
+        plane = ITEMSIZE * shape.prod(axis=1) // shape[:, axis]
+        extents = np.array([hi - lo for lo, hi in spans])
+        p, ranks = self.nprocs, self._ranks
+        for shift in range(1, p):
+            dest, tag = (ranks + shift) % p, np.full(p, _TAG_ALLTOALL + shift)
+            steps.append(Step(SendOp, dest, tag, plane * extents[dest],
+                              site=site))
+            steps.append(Step(RecvOp, (ranks - shift) % p, tag,
+                              match=len(steps) - 1, site=site))
 
     def _cut_entry(
         self, rank: int, prim, op, site: BlockSite, blocks: dict,
@@ -142,7 +123,7 @@ class TransposeExecutor(BlockGridExecutor):
         and the pieces coming back fill the rank's block in place."""
         cls, block = prim.__class__, blocks[op.array]
         if site.key == "forward" and cls is ComputeOp:
-            state["work"] = np.empty(self._work_shape(rank))
+            state["work"] = np.empty(self._work[rank].tolist())
         work = state["work"]
         if site.key == "sweep":
             n = self.shape[self.part_axis]

@@ -31,7 +31,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.simmpi.message import SendOp
 
 from .abstract import execute_abstract
 from .deadlock import check_deadlock
@@ -60,10 +59,7 @@ def _paired_verdict(ir: ProgramIR) -> tuple[AnalysisResult, ...] | None:
     """The clean verdict of a paired IR with the per-op analyses' stats,
     or ``None`` when a ``(dst, tag)`` channel has two senders."""
     assert ir.lockstep is not None
-    sends = [s for s in ir.lockstep.steps if s.kind is SendOp]
-    src = np.tile(np.arange(ir.nprocs), len(sends))
-    dst = np.concatenate([s.peer for s in sends] or [src])
-    tag = np.concatenate([s.tag for s in sends] or [src])
+    _, src, dst, tag, _ = ir.lockstep.messages
     # one sort by (dst, tag, src): a channel starts where dst or tag
     # changes, and a second sender shows as a src change inside one
     order = np.lexsort((src, tag, dst))
@@ -72,9 +68,8 @@ def _paired_verdict(ir: ProgramIR) -> tuple[AnalysisResult, ...] | None:
     if (same & (src[1:] != src[:-1])).any():
         return None
     channels = len(same) - int(same.sum()) + bool(len(dst))
-    # pairing makes every receive step's sources a permutation of the
-    # ranks, so every send's dst is a rank and this key is exact (a sort,
-    # not np.unique, which imports numpy.ma on first use)
+    # pairing makes every send's dst a receiving rank, so this key is
+    # exact (a sort, not np.unique, which imports numpy.ma on first use)
     pair = np.sort(src * ir.nprocs + dst)
     pairs = int((pair[1:] != pair[:-1]).sum()) + bool(len(pair))
     return (

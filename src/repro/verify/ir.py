@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Sequence
 
-import numpy as np
-
 from repro.simmpi.engine import Lockstep
 from repro.simmpi.message import (
     ANY_TAG,
@@ -110,11 +108,11 @@ class ProgramIR:
 
     @property
     def paired(self) -> bool:
-        """A paired lockstep program with no ``ANY_TAG`` receive."""
+        """A paired lockstep program with no ``ANY_TAG`` receive (pairing
+        gives every receive its message's tag)."""
         if self.lockstep is None or not self.lockstep.paired:
             return False
-        tags = [s.tag for s in self.lockstep.steps if s.kind is RecvOp]
-        return not tags or not (np.stack(tags) == ANY_TAG).any()
+        return not (self.lockstep.messages[3] == ANY_TAG).any()
 
     def sends(self) -> Iterator[tuple[int, int, SendOp]]:
         """Every send as ``(rank, index, op)``, in rank then program order."""
@@ -132,25 +130,27 @@ class ProgramIR:
 
     @property
     def total_ops(self) -> int:
-        """Every op except phase-span marks: a compiled program's steps
-        plus one op-label mark per schedule op, on every rank."""
+        """Every op except phase-span marks: every rank's ops of a lockstep
+        program, plus a compiled one's op-label mark per schedule op on
+        every rank."""
         if self.lockstep is None:
             return sum(_counted(op) for ops in self.ranks for op in ops)
         labels = 0 if self.compiled is None else len(self.compiled.schedule)
-        return self.nprocs * (len(self.lockstep.steps) + labels)
+        return self.nprocs * labels + sum(
+            len(self.lockstep.ranks(s)) for s in self.lockstep.steps
+        )
 
     @property
     def total_sends(self) -> int:
         if self.lockstep is None:
             return sum(1 for _ in self.sends())
-        return self.nprocs * sum(s.kind is SendOp for s in self.lockstep.steps)
+        return len(self.lockstep.messages[0])
 
     @property
     def total_send_bytes(self) -> int:
         if self.lockstep is None:
             return sum(payload_nbytes(op.payload) for _, _, op in self.sends())
-        steps = self.lockstep.steps
-        return sum(int(s.nbytes.sum()) for s in steps if s.kind is SendOp)
+        return int(self.lockstep.messages[4].sum())
 
     def replace_rank(
         self, rank: int, ops: tuple[Any, ...]

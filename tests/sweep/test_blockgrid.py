@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.apps.workloads import random_field
 from repro.simmpi.machine import MachineModel, bus
+from repro.sweep import blockgrid
 from repro.sweep.blockgrid import BlockGridExecutor, best_wavefront_chunks
 from repro.sweep.ops import (
     PointwiseOp,
@@ -124,7 +125,8 @@ class TestBlockGridModel:
 
     def test_multipart_beats_blockgrid_at_scale(self):
         """The paper's core comparison extended to the strongest block
-        baseline: at class-B scale multipartitioning still wins."""
+        baseline: at class-B scale multipartitioning still beats the
+        simulated 2-D block grid at its best chunk count."""
         from repro.apps.sp import sp_class
         from repro.core.api import plan_multipartitioning
         from repro.simmpi.machine import origin2000
@@ -142,27 +144,40 @@ class TestBlockGridModel:
                 plan.partitioning, prob.shape, machine, payload="skeleton"
             ).run_skeleton(sched).makespan
             best_bg = min(
-                blockgrid_time(prob.shape, (p1, p2), machine, sched, chunks=c)
+                BlockGridExecutor((p1, p2), prob.shape, machine, chunks=c)
+                .run_skeleton(sched).makespan
                 for c in (4, 8, 16, 32)
             )
             assert tm < best_bg
 
 
 class TestWavefrontChunks:
-    def test_best_is_the_least_skeleton_makespan(self, machine):
-        """The search runs the wavefront skeleton at 1, 2, 4, ... chunks,
-        up to the extent of the chunked axis, and keeps the least."""
+    def test_best_is_the_least_skeleton_makespan(self, machine, monkeypatch):
+        """The search runs the wavefront skeleton at each count
+        ``ceil(n / h)`` for chunk heights ``h = 1 .. n`` of the chunked
+        axis (n = 12: 1, 2, 3, 4, 6, 12 chunks) and keeps the least, the
+        fewest chunks on a tie."""
         shape = (16, 12, 10)
         sched = make_schedule(shape)
+        counts = (1, 2, 3, 4, 6, 12)
         times = {
             chunks: BlockGridExecutor((4,), shape, machine, chunks=chunks)
             .run_skeleton(sched).makespan
-            for chunks in (1, 2, 4, 8)
+            for chunks in counts
         }
         best = min(times, key=times.get)
+        tried = []
+
+        class Spy(BlockGridExecutor):
+            def __init__(self, *args, chunks, **kwargs):
+                tried.append(chunks)
+                super().__init__(*args, chunks=chunks, **kwargs)
+
+        monkeypatch.setattr(blockgrid, "BlockGridExecutor", Spy)
         assert best_wavefront_chunks(shape, 4, machine, sched) == (
             best, times[best]
         )
+        assert tuple(tried) == counts
 
 
 class TestOneRankChain:

@@ -1,13 +1,13 @@
 """The lockstep replay gives the engine's result, bit for bit.
 
-:func:`repro.simmpi.engine.replay_lockstep` times a compiled lockstep
-program one op index at a time for every rank.  For compiled
-multipartitioned schedules it must agree with the discrete-event engine on
-every number a run summary carries, with exact ``==`` (no tolerance).
-``run_skeleton`` uses it only for a paired program in a fault-free,
-unobserved run on a non-bus machine; everything else, an unpaired program
-included, stays on the engine.  Programs it cannot time exactly are
-rejected, never approximated.
+:func:`repro.simmpi.engine.replay_lockstep` times a lockstep program one
+op index at a time.  For compiled multipartitioned schedules and for the
+block baselines' programs, whose steps may run on some ranks only, it must
+agree with the discrete-event engine on every number a run summary
+carries, with exact ``==`` (no tolerance).  ``run_skeleton`` uses it only
+for a paired program in a fault-free, unobserved run on a non-bus machine;
+everything else, an unpaired program included, stays on the engine.
+Programs it cannot time exactly are rejected, never approximated.
 """
 
 import dataclasses
@@ -20,6 +20,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import plan_app
+from repro.apps.sp import SPProblem
 from repro.faults import ZERO_FAULTS, ProtocolConfig
 from repro.simmpi.engine import (
     Lockstep,
@@ -37,11 +38,14 @@ from repro.simmpi.machine import (
 from repro.simmpi.message import Bytes, ComputeOp, MarkOp, RecvOp, SendOp
 from repro.simmpi.summary import RunSummary
 from repro.simmpi.topology import topology_for
-from repro.sweep import multipart
+from repro.sweep import blockgrid, multipart
+from repro.sweep.blockgrid import BlockGridExecutor
 from repro.sweep.multipart import MultipartExecutor
 from repro.sweep.ops import PointwiseOp, StencilOp
+from repro.sweep.transpose import TransposeExecutor
 
 from .block_oracle import _msg_time
+from .test_blockgrid import block_cases
 
 FIELDS = (
     "clocks",
@@ -198,6 +202,65 @@ def test_receive_on_time_early_and_late_match_engine():
     ]
 
 
+#: block baselines on an uneven grid, one to three cut axes' worth of
+#: masked steps each
+BLOCK_CONFIGS = {
+    "wavefront-3": lambda shape, m: BlockGridExecutor((3,), shape, m, 4),
+    "wavefront-axis1-4": lambda shape, m: BlockGridExecutor(
+        (1, 4), shape, m, 5
+    ),
+    "grid-2x3": lambda shape, m: BlockGridExecutor((2, 3), shape, m, 3),
+    "grid-4x2": lambda shape, m: BlockGridExecutor((4, 2), shape, m, 7),
+    "transpose-3": lambda shape, m: TransposeExecutor(3, shape, m),
+    "transpose-4-axis2": lambda shape, m: TransposeExecutor(
+        4, shape, m, part_axis=2, alt_axis=1
+    ),
+}
+
+
+@pytest.mark.parametrize("machine_factory", [origin2000, ethernet_cluster])
+@pytest.mark.parametrize("config", sorted(BLOCK_CONFIGS))
+def test_block_programs_match_engine(machine_factory, config):
+    """A block baseline's program for SP with its stencil right-hand side
+    on a 13x11x9 grid (forward and reverse sweeps along every axis),
+    replayed in lockstep, equals the engine run of its per-rank ops."""
+    machine, shape = machine_factory(), (13, 11, 9)
+    program = BLOCK_CONFIGS[config](shape, machine).lower(
+        SPProblem(shape, stencil_rhs=True).schedule()
+    )
+    assert program.paired
+    assert any(step.active is not None for step in program.steps)
+    assert_identical(
+        replay_lockstep(machine, program),
+        _engine_replay(machine, program.rank_ops()),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    case=block_cases(),
+    transpose=st.booleans(),
+    machine_name=st.sampled_from(["origin2000", "ethernet", "torus"]),
+)
+def test_drawn_block_programs_match_engine(case, transpose, machine_name):
+    """Wavefronts, grids and transposes of drawn shapes, chunk counts and
+    schedules: lockstep and engine replays of one program."""
+    _, shape, grid, (p, part, alt), chunks, sched = case
+    machine = _machine(machine_name, p if transpose else math.prod(grid))
+    if transpose:
+        executor = TransposeExecutor(
+            p, shape, machine, part_axis=part, alt_axis=alt
+        )
+    else:
+        executor = BlockGridExecutor(grid, shape, machine, chunks=chunks)
+    program = executor.lower(sched)
+    assert program.paired
+    assert_identical(
+        replay_lockstep(machine, program),
+        _engine_replay(machine, program.rank_ops()),
+    )
+
+
 def _send(tag=5, nbytes=(8, 16), peer=(1, 0)):
     return Step(SendOp, np.array(peer), np.array([tag, tag]),
                 np.array(nbytes))
@@ -213,62 +276,95 @@ def _compute(seconds):
 
 def loop_paired(program):
     """The per-receive loop ``Lockstep.paired`` replaced, kept as the
-    reference its stacked comparison must agree with."""
-    ranks = np.arange(program.nprocs)
+    reference its stacked comparison must agree with: rank by rank, each
+    receive step's ranks take a message its match sends them."""
     matched = []
     for index, step in enumerate(program.steps):
         if step.kind is RecvOp:
             if not 0 <= step.match < index:
                 return False
-            send, source = program.steps[step.match], step.peer
-            if not (
-                send.kind is SendOp and 0 <= source.min()
-                and source.max() < program.nprocs
-                and np.array_equal(send.peer[source], ranks)
-                and np.array_equal(send.tag[source], step.tag)
-            ):
+            send = program.steps[step.match]
+            if send.kind is not SendOp:
                 return False
+            senders = program.ranks(send).tolist()
+            receivers = program.ranks(step).tolist()
+            if len(senders) != len(receivers):
+                return False
+            for receiver, source, tag in zip(receivers, step.peer, step.tag):
+                if source not in senders:
+                    return False
+                at = senders.index(source)
+                if send.peer[at] != receiver or send.tag[at] != tag:
+                    return False
             matched.append(step.match)
     return matched == [
         i for i, step in enumerate(program.steps) if step.kind is SendOp
     ]
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
+def compiled_steps(data):
+    """A compiled multipartitioned program's steps: every step full."""
+    app = data.draw(st.sampled_from(["sp", "bt", "adi"]))
+    p = data.draw(st.sampled_from([2, 3, 4, 6, 8, 9]))
+    config = plan_app(app, (8, 8, 8), p)
+    return list(MultipartExecutor(
+        config.partitioning, config.problem.field_shape, origin2000(),
+        aggregate=data.draw(st.booleans()), payload="skeleton",
+    ).compile(config.problem.schedule()).lockstep.steps), p
+
+
+def block_steps(data):
+    """A block baseline's program: a wavefront or 2-D grid, or a
+    transpose, whose masked steps run on some ranks only."""
+    _, shape, grid, (p, part, alt), chunks, sched = data.draw(block_cases())
+    if data.draw(st.booleans()):
+        executor = BlockGridExecutor(grid, shape, origin2000(), chunks=chunks)
+    else:
+        executor = TransposeExecutor(
+            p, shape, origin2000(), part_axis=part, alt_axis=alt
+        )
+    program = executor.lower(sched)
+    return list(program.steps), program.nprocs
+
+
+_VECTORS = ("peer", "tag", "nbytes", "seconds", "points")
+
+
+@settings(derandomize=True, deadline=None, max_examples=160)
 @given(
-    app=st.sampled_from(["sp", "bt", "adi"]),
-    p=st.sampled_from([2, 3, 4, 6, 8, 9]),
-    aggregate=st.booleans(),
+    draw_steps=st.sampled_from([compiled_steps, block_steps]),
     corrupt=st.sampled_from(
-        ["none", "peer", "tag", "source", "match", "drop"]
+        ["none", "peer", "tag", "source", "match", "drop", "active"]
     ),
     data=st.data(),
 )
-def test_pairing_equals_per_receive_loop(app, p, aggregate, corrupt, data):
-    """A compiled program, clean or with one step corrupted, is paired
-    exactly when the per-receive loop says so."""
-    config = plan_app(app, (8, 8, 8), p)
-    steps = list(MultipartExecutor(
-        config.partitioning, config.problem.field_shape, origin2000(),
-        aggregate=aggregate, payload="skeleton",
-    ).compile(config.problem.schedule()).lockstep.steps)
-    kind = {"peer": SendOp, "tag": SendOp}.get(corrupt, RecvOp)
-    at = data.draw(st.sampled_from(
-        [i for i, step in enumerate(steps) if step.kind is kind]
-    ))
-    rank = data.draw(st.integers(0, p - 1))
+def test_pairing_equals_per_receive_loop(draw_steps, corrupt, data):
+    """A compiled or block-lowered program, clean or with one step
+    corrupted, is paired exactly when the per-receive loop says so."""
+    steps, p = draw_steps(data)
+    kind = {"peer": SendOp, "tag": SendOp, "active": None}.get(
+        corrupt, RecvOp
+    )
+    candidates = [
+        i for i, step in enumerate(steps)
+        if kind is None or step.kind is kind
+    ]
+    assume(candidates)
+    at = data.draw(st.sampled_from(candidates))
     step = steps[at]
+    width = len(Lockstep(tuple(steps), p).ranks(step))
+    entry = data.draw(st.integers(0, width - 1))  # one rank's position
     if corrupt == "peer":
         peer = step.peer.copy()
-        peer[rank] = data.draw(st.integers(0, p))
+        peer[entry] = data.draw(st.integers(0, p))
         steps[at] = step._replace(peer=peer)
     elif corrupt == "tag":
         tag = step.tag.copy()
-        tag[rank] += data.draw(st.integers(0, 1))
+        tag[entry] += data.draw(st.integers(0, 1))
         steps[at] = step._replace(tag=tag)
     elif corrupt == "source":
         source = step.peer.copy()
-        source[rank] = data.draw(st.integers(-1, p))
+        source[entry] = data.draw(st.integers(-1, p))
         steps[at] = step._replace(peer=source)
     elif corrupt == "match":
         steps[at] = step._replace(
@@ -276,9 +372,18 @@ def test_pairing_equals_per_receive_loop(app, p, aggregate, corrupt, data):
         )
     elif corrupt == "drop":
         del steps[data.draw(st.integers(0, len(steps) - 1))]
+    elif corrupt == "active":
+        # the step loses one of its ranks, with that rank's operands
+        ranks = np.delete(np.arange(p) if step.active is None
+                          else step.active, entry)
+        steps[at] = step._replace(active=ranks, **{
+            name: np.delete(getattr(step, name), entry)
+            for name in _VECTORS if getattr(step, name) is not None
+        })
     program = Lockstep(tuple(steps), p)
     assert program.paired is loop_paired(program)
-    event(f"{corrupt}: {'paired' if program.paired else 'unpaired'}")
+    event(f"{draw_steps.__name__} {corrupt}: "
+          f"{'paired' if program.paired else 'unpaired'}")
 
 
 class TestLockstepPairing:
@@ -330,6 +435,41 @@ class TestLockstepPairing:
             replay_lockstep(origin2000(), program)
 
 
+class TestBlockDispatch:
+    """The block executors' ``run_skeleton`` takes the same decision as
+    the multipartitioned one, with the same result either way."""
+
+    SCHEDULE = SPProblem((9, 8, 7), stencil_rhs=True).schedule()
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def spy(machine, program):
+            seen.append(program.nprocs)
+            return replay_lockstep(machine, program)
+
+        monkeypatch.setattr(blockgrid, "replay_lockstep", spy)
+        return seen
+
+    @pytest.mark.parametrize("make", [
+        lambda m, **kw: BlockGridExecutor((2, 2), (9, 8, 7), m, **kw),
+        lambda m, **kw: TransposeExecutor(4, (9, 8, 7), m, **kw),
+    ], ids=["grid", "transpose"])
+    def test_replay_unless_traced_or_bus(self, calls, make):
+        replayed = make(origin2000()).run_skeleton(self.SCHEDULE)
+        traced = make(origin2000(), record_events=True).run_skeleton(
+            self.SCHEDULE
+        )
+        assert calls == [4]
+        assert json.dumps(RunSummary.from_result(replayed).to_dict()) == (
+            json.dumps(RunSummary.from_result(traced).to_dict())
+        )
+        assert traced.trace.events
+        make(bus()).run_skeleton(self.SCHEDULE)
+        assert calls == [4]
+
+
 class TestRejects:
     @pytest.mark.parametrize("op, message", [
         (SendOp(2, Bytes(8)), "rank 0: send to invalid dest 2"),
@@ -349,6 +489,13 @@ class TestRejects:
             replay_lockstep(origin2000(), program)
         with pytest.raises(ValueError, match=message):
             _engine_replay(origin2000(), program.rank_ops())
+
+    @pytest.mark.parametrize("active", [[1, 0], [0, 0], [-1], [2]])
+    def test_active_ranks_must_increase_within_range(self, active):
+        step = Step(ComputeOp, seconds=np.zeros(len(active)),
+                    points=np.zeros(len(active)), active=np.array(active))
+        with pytest.raises(ValueError, match="active ranks must increase"):
+            Lockstep((step,), 2)
 
     def test_no_ranks(self):
         with pytest.raises(ValueError, match="nprocs must be >= 1"):

@@ -59,12 +59,14 @@ class TestMergeEntries:
         assert harness.merge_entries(entries, []) == entries
 
     def test_results_blocks_round_trip(self, harness):
-        text = "\n===== A =====\nrow 1\nrow 2\n\n===== B (x) =====\nrow\n"
+        text = (
+            "\n===== A =====\nrow 1\nrow 2\n"
+            "\n===== B (x) ===== [bench_b]\nrow\n"
+        )
         blocks = harness._read_blocks(text)
         assert [b["title"] for b in blocks] == ["A", "B (x)"]
-        assert "".join(
-            f"\n===== {b['title']} =====\n{b['text']}" for b in blocks
-        ) == text
+        assert [b.get("module") for b in blocks] == [None, "bench_b"]
+        assert "".join(map(harness._write_block, blocks)) == text
 
 
 def test_partial_session_keeps_other_benches(harness):
@@ -82,7 +84,8 @@ def test_partial_session_keeps_other_benches(harness):
     harness._records.append({"title": "redone", "data": 1, "module": "bench_r"})
     harness.pytest_sessionfinish(None, 0)
     assert harness._RESULTS.read_text() == (
-        "\n===== kept =====\nold kept\n\n===== redone =====\nnew redone\n"
+        "\n===== kept =====\nold kept\n"
+        "\n===== redone ===== [bench_r]\nnew redone\n"
     )
     records = json.loads(harness._PROFILE_JSON.read_text())["records"]
     assert [(r["title"], r["data"], r["provenance"]["git_sha"])
@@ -92,6 +95,23 @@ def test_partial_session_keeps_other_benches(harness):
     assert json.loads(history[0])["records"] == [
         {"title": "redone", "data": 1, "module": "bench_r"}
     ]
+
+
+def test_retitled_bench_replaces_its_old_block(harness):
+    """results.txt names each block's module, so a bench whose title
+    changed replaces its old block instead of leaving it behind."""
+    harness._RESULTS.write_text(
+        "\n===== old title ===== [bench_r]\nold\n"
+        "\n===== kept ===== [bench_k]\nkept\n"
+    )
+    harness._blocks.append(
+        {"title": "new title", "text": "new\n", "module": "bench_r"}
+    )
+    harness.pytest_sessionfinish(None, 0)
+    assert harness._RESULTS.read_text() == (
+        "\n===== new title ===== [bench_r]\nnew\n"
+        "\n===== kept ===== [bench_k]\nkept\n"
+    )
 
 
 def test_session_without_reports_touches_nothing(harness):

@@ -1,7 +1,8 @@
 """The verdict of a paired lockstep program equals the per-op analyses.
 
-:func:`repro.verify.verify_ir` decides a paired compiled program from its
-step vectors (no abstract run, no per-rank op tuples).  These tests hold it
+:func:`repro.verify.verify_ir` decides a paired program, compiled or a
+block baseline's, from its step vectors (no abstract run, no per-rank op
+tuples).  These tests hold it
 to the per-op path it replaces: the same ``AnalysisResult`` documents and
 the same ``total_*`` statistics as a per-op copy of the IR, the per-op
 machinery never touched on a clean compiled check, and a corrupted step
@@ -18,11 +19,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import plan_app
+from repro.apps.sp import SPProblem, sp_class
 from repro.simmpi.engine import Lockstep, Step
 from repro.simmpi.machine import origin2000
 from repro.simmpi.message import ANY_TAG, RecvOp, SendOp
+from repro.sweep.blockgrid import BlockGridExecutor
 from repro.sweep.compile import CompiledSchedule
 from repro.sweep.multipart import MultipartExecutor
+from repro.sweep.transpose import TransposeExecutor
 from repro.verify import checker as checker_module
 from repro.verify import races as races_module
 from repro.verify import (
@@ -31,6 +35,8 @@ from repro.verify import (
     verify_config,
     verify_ir,
 )
+
+from ..sweep.test_blockgrid import block_cases
 
 
 def refuse(*args, **kwargs):
@@ -87,6 +93,52 @@ def test_lockstep_verdict_equals_per_op(config):
         verdict = documents(verify_ir(ir))
     assert verdict == documents(verify_ir(per_op))
     assert totals(ir) == totals(per_op)
+
+
+@given(
+    case=block_cases(),
+    transpose=st.booleans(),
+    app=st.sampled_from([None, "sp", "sp+stencil"]),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_block_programs_take_the_paired_verdict(case, transpose, app):
+    """A block baseline's lowered program (a drawn schedule, or SP on the
+    drawn 3-D grid) is decided from its step vectors, and the verdict and
+    totals equal the per-op analyses of its rank ops."""
+    _, shape, grid, (p, part, alt), chunks, sched = case
+    if app is not None:
+        assume(len(shape) == 3)
+        sched = SPProblem(shape, stencil_rhs=app == "sp+stencil").schedule()
+    if transpose:
+        executor = TransposeExecutor(
+            p, shape, origin2000(), part_axis=part, alt_axis=alt
+        )
+    else:
+        executor = BlockGridExecutor(grid, shape, origin2000(), chunks=chunks)
+    program = executor.lower(sched)
+    ir = ProgramIR(program.nprocs, lockstep=program)
+    per_op = ProgramIR(program.nprocs, ranks=program.rank_ops())
+    assert ir.paired and not per_op.paired
+    with mock.patch.object(checker_module, "execute_abstract", refuse):
+        verdict = documents(verify_ir(ir))
+    assert verdict == documents(verify_ir(per_op))
+    assert totals(ir) == totals(per_op)
+
+
+@pytest.mark.parametrize("make", [
+    lambda m: BlockGridExecutor((64,), (102,) * 3, m, chunks=51),
+    lambda m: TransposeExecutor(64, (102,) * 3, m),
+    lambda m: BlockGridExecutor((8, 8), (102,) * 3, m, chunks=16),
+], ids=["wavefront-64", "transpose-64", "grid-8x8"])
+def test_class_b_block_programs_verify_from_steps(monkeypatch, make):
+    """Class-B SP on the block baselines at p=64 is verified clean from
+    the step vectors alone."""
+    monkeypatch.setattr(checker_module, "execute_abstract", refuse)
+    monkeypatch.setattr(Lockstep, "rank_ops", refuse)
+    program = make(origin2000()).lower(sp_class("B", steps=1).schedule())
+    results = verify_ir(ProgramIR(64, lockstep=program))
+    assert all(r.ok for r in results)
+    assert results[0].stats["sends"] == len(program.messages[0]) > 0
 
 
 def test_clean_check_skips_the_per_op_machinery(monkeypatch):
