@@ -138,16 +138,9 @@ class CompiledProgram:
                 record_events=record_events,
             )
             return executor.run(array, list(self.schedule))
-        # BLOCK: a block grid cutting the (single) partitioned axis
-        axes = self.program.distribute.partitioned_axes()
-        if len(axes) != 1:
-            raise NotImplementedError(
-                "block execution supports exactly one partitioned axis"
-            )
+        # BLOCK: the block grid of the resolved processor grid
         executor = BlockGridExecutor(
-            (1,) * axes[0] + (self.resolution.nprocs,),
-            shape,
-            machine,
+            self.resolution.proc_grid, shape, machine,
             record_events=record_events,
         )
         return executor.run(array, list(self.schedule))

@@ -75,8 +75,8 @@ That argument needs a non-bus network (the shared ``_bus_free_at`` depends
 on the global send order), no fault injection, no wildcard, timed or
 cancellable receives (a :class:`Step` has no field for them) and no
 observer (marks live only in the compiled schedule's marked view, which
-observed runs replay through the engine): :func:`replayable`, which every
-executor's ``run_skeleton`` asks.  :func:`replay_lockstep` raises
+observed runs replay through the engine): :func:`replayable`, which the
+executor driver's ``run_skeleton`` asks.  :func:`replay_lockstep` raises
 ``ValueError`` on an unpaired program and ``TypeError`` on a step of any
 other kind instead of approximating.  The machine's timing functions are
 called once per distinct message size (per ``(src, dst, nbytes)`` with a
@@ -802,9 +802,6 @@ class Lockstep:
 
     steps: tuple[Step, ...]
     nprocs: int
-    #: whether FIFO matching pairs each receive step with its ``match``,
-    #: checked on construction (see :meth:`_paired`)
-    paired: bool = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
         if self.nprocs < 1:
@@ -819,7 +816,6 @@ class Lockstep:
         every = np.arange(self.nprocs)
         every.flags.writeable = False
         object.__setattr__(self, "_every", every)
-        object.__setattr__(self, "paired", self._paired())
 
     def ranks(self, step: Step) -> np.ndarray:
         """The ranks ``step`` runs on (read-only)."""
@@ -840,8 +836,10 @@ class Lockstep:
             )
         )
 
-    def _paired(self) -> bool:
-        """Whether the k-th receive step's ``match`` is the k-th send step,
+    @functools.cached_property
+    def paired(self) -> bool:
+        """Whether FIFO matching pairs each receive step with its
+        ``match``: the k-th receive step's ``match`` is the k-th send step,
         an earlier one, whose ranks send to exactly the receive step's
         ranks, each from its ``peer`` with the receive's tag: then no two
         messages on one channel can swap.  One scatter of the messages by
@@ -902,11 +900,12 @@ class Lockstep:
 def replayable(
     machine: MachineModel, program: Lockstep, observed: bool
 ) -> bool:
-    """Whether :func:`replay_lockstep` times ``program``'s run exactly: it
-    is paired, the network is no bus, and no fault, protocol, trace or sink
-    ``observed`` the run; otherwise the engine runs it."""
+    """Whether :func:`replay_lockstep` times ``program``'s run exactly: no
+    fault, protocol, trace or sink ``observed`` the run, the network is no
+    bus, and the program is paired (checked only then); otherwise the
+    engine runs it."""
     bus = machine.network is NetworkScaling.BUS
-    return program.paired and not bus and not observed
+    return not observed and not bus and program.paired
 
 
 def replay_lockstep(machine: MachineModel, program: Lockstep) -> RunResult:

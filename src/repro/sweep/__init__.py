@@ -12,10 +12,12 @@ schedules, so results are directly comparable):
 * :func:`run_sequential` — single-processor ground truth.
 
 Every time is the makespan of a simulated program.  Each executor lowers
-a schedule once to a lockstep program and both its modes run it: real
-data, and a payload-free ``run_skeleton`` that times class-B/C shapes.
-:func:`best_processor_count` searches processor counts with the
-multipartitioned skeleton.
+a schedule once to a lockstep program, and one driver
+(:mod:`repro.sweep.driver`) runs it in both modes for every strategy:
+real data, and a payload-free ``run_skeleton`` that times class-B/C
+shapes.  :func:`best_processor_count` searches processor counts with the
+multipartitioned skeleton.  :class:`TransposeExecutor` is imported on
+first use.
 """
 
 from .multipart import MultipartExecutor, best_processor_count
@@ -36,7 +38,6 @@ from .ops import (
 from .recurrence import affine_scan, thomas_factor, thomas_solve
 from .sequential import run_sequential, sequential_time
 from .tiles import TileGrid, axis_extents
-from .transpose import TransposeExecutor
 
 __all__ = [
     "MultipartExecutor",
@@ -62,3 +63,13 @@ __all__ = [
     "TileGrid",
     "axis_extents",
 ]
+
+
+def __getattr__(name: str):
+    # the transpose baseline loads on first use: planning, checking and
+    # sweeping a multipartitioning never run it
+    if name == "TransposeExecutor":
+        from .transpose import TransposeExecutor
+
+        return TransposeExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,17 +38,14 @@ send step over the ranks with a chunk then, less the chain heads'
 receive and the chain tails' send.  Halo sends and receives are masked at
 the grid's edges; uncut sweeps and local ops are full compute steps.
 
-* :meth:`BlockGridExecutor.run` interprets every rank's ops with their
-  sites: the numpy kernels run at compute entries, and each send carries
-  the real carry plane, halo face or transpose piece in place of its
-  declared :class:`~repro.simmpi.message.Bytes`;
-* :meth:`BlockGridExecutor.run_skeleton` times the steps as they are,
-  with :func:`~repro.simmpi.engine.replay_lockstep` unless the run is
-  traced or the machine is a bus, when the engine runs them.
-
-Either way their clocks, makespan, message counts and byte totals agree
-bit for bit.  :func:`best_wavefront_chunks` picks the pipeline
-granularity by skeleton makespan.
+:mod:`repro.sweep.driver` scatters the arrays over the blocks (a
+:class:`~repro.sweep.tiles.TileGrid` of the grid, rank ``r`` owning the
+``r``-th tile in C order) and runs and times the program as it does every
+strategy's.  Here the real-data interpreter runs the numpy kernels at
+compute entries and sends the real carry plane, halo face or transpose
+piece in place of each send's declared byte count.
+:func:`best_wavefront_chunks` picks the pipeline granularity by skeleton
+makespan.
 """
 
 from __future__ import annotations
@@ -59,18 +56,12 @@ from typing import Any, Generator, NamedTuple
 
 import numpy as np
 
-from repro.simmpi.engine import (
-    Lockstep,
-    Step,
-    replay_lockstep,
-    replayable,
-    run_programs,
-)
+from repro.simmpi.engine import Lockstep, Step
 from repro.simmpi.machine import MachineModel
 from repro.simmpi.message import ComputeOp, RecvOp, SendOp
-from repro.simmpi.trace import RunResult
 
-from .compile import ITEMSIZE
+from .compile import ITEMSIZE, CompiledSchedule, compute_charge
+from .driver import Executor
 from .ops import (
     BinaryPointwiseOp,
     BlockSweepOp,
@@ -79,11 +70,9 @@ from .ops import (
     StencilOp,
     SweepOp,
     apply_local_op,
-    as_named,
     scan_op,
-    unwrap_named,
 )
-from .tiles import axis_extents
+from .tiles import TileGrid, axis_extents
 
 __all__ = ["BlockGridExecutor", "best_wavefront_chunks"]
 
@@ -111,7 +100,7 @@ def _region(axis: int, lo: int, hi: int) -> tuple:
     return (slice(None),) * axis + (slice(lo, hi),)
 
 
-class BlockGridExecutor:
+class BlockGridExecutor(Executor):
     """Static block partitioning over a per-axis processor grid, with
     pipelined wavefront sweeps along the cut axes."""
 
@@ -146,84 +135,26 @@ class BlockGridExecutor:
         self._strides = tuple(
             math.prod(self.grid[a + 1:]) for a in range(len(shape))
         )
-        self._spans = [axis_extents(n, g) for n, g in zip(shape, self.grid)]
+        self._ranks = np.arange(self.nprocs)
+        tiles = TileGrid(shape, self.grid)
+        self.layout = (tiles, self._ranks.reshape(self.grid))
         #: every rank's grid coordinates and block extents, (nprocs, ndim)
         self._at = np.indices(self.grid).reshape(len(shape), -1).T
-        self._blocks = np.array([
-            [spans[c][1] - spans[c][0] for spans, c in zip(self._spans, at)]
-            for at in self._at.tolist()
-        ], dtype=np.int64)
-        self._points = self._blocks.prod(axis=1)
-        self._ranks = np.arange(self.nprocs)
-
-    # -- rank geometry -------------------------------------------------------
-
-    def _rank_sel(self, rank: int) -> tuple:
-        return tuple(
-            slice(*self._spans[a][c]) for a, c in enumerate(self._at[rank])
+        self._blocks = np.array(
+            [tiles.tile_shape(at) for at in self._at.tolist()], dtype=np.int64
         )
+        self._points = self._blocks.prod(axis=1)
 
     def _compute(self, points, ops, tiles, site, active=None) -> Step:
-        """A compute step charging each rank ``machine.compute_time`` of its
-        ``points``, called once per distinct count."""
-        values, inverse = np.unique(points, return_inverse=True)
-        seconds = np.array([
-            self.machine.compute_time(n, ops, tiles) for n in values.tolist()
-        ])[inverse.ravel()]
-        return Step(ComputeOp, seconds=seconds, points=points, site=site,
-                    active=active)
+        """A compute step charging each rank its ``points``."""
+        return Step(ComputeOp, seconds=compute_charge(
+            self.machine, points, ops, tiles
+        ), points=points, site=site, active=active)
 
-    # -- public API ----------------------------------------------------------
-
-    def run(self, arrays, schedule) -> "tuple":
-        """Distribute the array(s), interpret the lowered ``schedule`` on
-        every simulated rank, reassemble and return ``(result,
-        run_result)``."""
-        single, named = as_named(arrays)
-        per_rank: list[dict] = [{} for _ in range(self.nprocs)]
-        for name, array in named.items():
-            array = np.asarray(array, dtype=np.float64)
-            if array.shape != self.shape:
-                raise ValueError("array shape mismatch")
-            for rank in range(self.nprocs):
-                per_rank[rank][name] = np.array(
-                    array[self._rank_sel(rank)], copy=True
-                )
-        program = self.lower(schedule)
-        sites = program.per_rank(
-            map(step.site, program.ranks(step).tolist())
-            if callable(step.site) else [step.site] * len(program.ranks(step))
-            for step in program.steps
-        )
-        programs = [
-            self._interpret(rank, *entries, per_rank[rank], schedule)
-            for rank, entries in enumerate(zip(program.rank_ops(), sites))
-        ]
-        result = run_programs(
-            self.machine, programs, record_events=self.record_events
-        )
-        out = {}
-        for name in named:
-            full = np.empty(self.shape, dtype=np.float64)
-            for rank in range(self.nprocs):
-                full[self._rank_sel(rank)] = per_rank[rank][name]
-            out[name] = full
-        return unwrap_named(single, out), result
-
-    def run_skeleton(self, schedule) -> RunResult:
-        """Time the lowered ``schedule`` payload-free: the steps :meth:`run`
-        interprets, replayed in lockstep, or through the engine when the
-        run is traced or the machine is a bus, so every number of the
-        result equals real-data mode's."""
-        program = self.lower(schedule)
-        if replayable(self.machine, program, self.record_events):
-            return replay_lockstep(self.machine, program)
-        return run_programs(
-            self.machine,
-            # a generator expression ignores what the engine sends back
-            [(op for op in ops) for ops in program.rank_ops()],
-            record_events=self.record_events,
-        )
+    def compile(self, schedule) -> CompiledSchedule:
+        """``schedule`` lowered for every rank (see :meth:`lower`)."""
+        schedule = tuple(schedule)
+        return CompiledSchedule(schedule, self.lower(schedule))
 
     # -- lowering ------------------------------------------------------------
 
@@ -277,7 +208,7 @@ class BlockGridExecutor:
             on = ranks[live]
             steps.append(self._compute(
                 height[on] * row[on], op.flops_per_point, 1,
-                functools.partial(self._chunk, index, axis, chunk_axis, k),
+                functools.partial(self._chunks, index, axis, chunk_axis, k),
                 None if live.all() else on,
             ))
             if (on := ranks[live & (pos < chain - 1)]).size:
@@ -286,16 +217,19 @@ class BlockGridExecutor:
                                   height[on] * plane[on], site=carry,
                                   active=on))
 
-    def _chunk(
-        self, index: int, axis: int, chunk_axis: int, chunk, rank: int
-    ) -> BlockSite:
-        """The site of ``rank``'s wavefront compute of chunk
+    def _chunks(
+        self, index: int, axis: int, chunk_axis: int, chunk, ranks
+    ) -> list[BlockSite]:
+        """The sites of ``ranks``' wavefront computes, each of its chunk
         ``chunk[rank]``: the chunk it scans and its global span along the
         swept axis."""
-        extent = int(self._blocks[rank, chunk_axis])
-        lo, hi = axis_extents(extent, min(self.chunks, extent))[chunk[rank]]
-        return BlockSite(index, _region(chunk_axis, lo, hi),
-                         self._spans[axis][self._at[rank, axis]])
+        tiles, sites = self.layout[0], []
+        for rank in ranks.tolist():
+            extent = int(self._blocks[rank, chunk_axis])
+            cut = axis_extents(extent, min(self.chunks, extent))[chunk[rank]]
+            span = tiles.tile_span(axis, self._at[rank, axis])
+            sites.append(BlockSite(index, _region(chunk_axis, *cut), span))
+        return sites
 
     def _stencil(self, index: int, op: StencilOp, steps: list) -> None:
         """Halo exchange across each cut axis, one after the other (star
@@ -332,11 +266,14 @@ class BlockGridExecutor:
     # -- real-data interpretation --------------------------------------------
 
     def _interpret(
-        self, rank: int, ops: tuple, sites: tuple, blocks: dict, schedule
+        self, comm, compiled: CompiledSchedule, tiles: dict
     ) -> Generator:
         """Real-data rank program: walk the rank's lowered ops, running the
         numpy kernels at compute entries and sending the real payload at
         each send."""
+        rank, schedule = comm.rank, compiled.schedule
+        at = tuple(self._at[rank].tolist())
+        blocks = {name: blocks[at] for name, blocks in tiles.items()}
 
         def get(name: str) -> np.ndarray:
             if name not in blocks:
@@ -347,7 +284,7 @@ class BlockGridExecutor:
 
         state: dict = {}  # what a cut-axis sweep keeps between entries
         ghosts: list = []  # a stencil's ((axis, side), received face)
-        for prim, site in zip(ops, sites):
+        for prim, site in zip(compiled.ops[rank], compiled.sites[rank]):
             op = schedule[site.op_index]
             cls = prim.__class__
             if isinstance(op, (SweepOp, BlockSweepOp)):

@@ -38,13 +38,9 @@ and sweep phase, and each schedule op its ``phase`` and ``label()``.
 Everything that needs a multipartitioned schedule's behaviour reads the
 compiled program:
 
-* skeleton mode times the lockstep program with
-  :func:`repro.simmpi.engine.replay_lockstep`, or the per-rank ops through
-  the engine when faults, the reliable protocol, observers, a bus network
-  or an unpaired program are involved (observed runs replay the marked
-  view);
-* real-data mode interprets the per-rank ops, running the numpy kernels at
-  compute entries and packing payloads at sends;
+* the executor driver (:mod:`repro.sweep.driver`) times it in skeleton
+  mode and runs the multipartitioned interpreter over it in real-data
+  mode (observed runs run the marked view);
 * the static verifier decides a paired program from its steps and
   analyzes the marked view op by op otherwise (:mod:`repro.verify.ir`);
 * :mod:`repro.hpf.commsched` folds the sends into message plans.
@@ -56,7 +52,7 @@ import dataclasses
 import functools
 import itertools
 from math import prod
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,6 +84,7 @@ __all__ = [
     "Site",
     "CompiledSchedule",
     "ScheduleCompiler",
+    "compute_charge",
     "neighbor_tile",
 ]
 
@@ -112,13 +109,28 @@ class Site(NamedTuple):
     phase: int = 0
 
 
+class _StepSite(NamedTuple):
+    """A compiled step's site: its schedule op, its sweep phase and a
+    function giving every rank's tiles.  Called with the step's ranks
+    (every rank), it gives each one's :class:`Site`."""
+
+    op_index: int
+    phase: int
+    tiles: Callable[[], list]
+
+    def __call__(self, ranks) -> list[Site]:
+        return [Site(self.op_index, t, self.phase) for t in self.tiles()]
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class CompiledSchedule:
     """One schedule compiled for every rank at once.
 
-    ``lockstep`` is the program itself.  Each rank's op tuple (``ops``),
-    the parallel tuple of sites (``sites``) and the marked view an
-    observer reads (``marked``) are derived from it on first use."""
+    ``lockstep`` is the program itself, the multipartitioned compiler's
+    or a block baseline's.  Each rank's op tuple (``ops``), the parallel
+    tuple of sites (``sites``) and the marked view an observer of a
+    multipartitioned run reads (``marked``) are derived from it on first
+    use."""
 
     schedule: tuple
     lockstep: Lockstep
@@ -132,17 +144,20 @@ class CompiledSchedule:
         return self.lockstep.rank_ops()
 
     @functools.cached_property
-    def sites(self) -> tuple[tuple[Site, ...], ...]:
-        # a step's site is ``(op_index, phase, tiles)``, ``tiles()`` giving
-        # every rank's tiles; steps sharing a site share its Site objects
-        made: dict = {}
-        for step in self.lockstep.steps:
+    def sites(self) -> tuple[tuple[Any, ...], ...]:
+        # a step's site is one value for all its ranks, or a function of
+        # its ranks giving each one's; steps sharing it share what it gives
+        program, made = self.lockstep, {}
+
+        def column(step: Step):
+            ranks = program.ranks(step)
+            if not callable(step.site):
+                return (step.site,) * len(ranks)
             if step.site not in made:
-                index, phase, tiles = step.site
-                made[step.site] = [Site(index, t, phase) for t in tiles()]
-        return self.lockstep.per_rank(
-            made[step.site] for step in self.lockstep.steps
-        )
+                made[step.site] = step.site(ranks)
+            return made[step.site]
+
+        return program.per_rank(map(column, program.steps))
 
     @functools.cached_property
     def marked(self) -> tuple[tuple[tuple, tuple], ...]:
@@ -200,6 +215,17 @@ class CompiledSchedule:
             for op, site in zip(ops, sites):
                 if op.__class__ is SendOp:
                     yield rank, op, site
+
+
+def compute_charge(
+    machine: MachineModel, points: np.ndarray, flops: float, tiles: int
+) -> np.ndarray:
+    """``machine.compute_time`` of each entry of ``points`` (any shape),
+    called once per distinct count."""
+    values, inverse = np.unique(points, return_inverse=True)
+    return np.array([
+        machine.compute_time(n, flops, tiles=tiles) for n in values.tolist()
+    ])[inverse.ravel()].reshape(points.shape)
 
 
 def neighbor_tile(
@@ -351,19 +377,14 @@ class ScheduleCompiler:
         )
 
     def _charge(self, axis: int | None, flops: float, tiles: int):
-        """``machine.compute_time`` of each rank's points in each slab along
-        ``axis`` (of all its points when ``axis`` is ``None``), called once
-        per distinct count and memoized per ``(axis, flops, tiles)``:
-        read-only."""
+        """:func:`compute_charge` of each rank's points in each slab along
+        ``axis`` (of all its points when ``axis`` is ``None``), memoized
+        per ``(axis, flops, tiles)``: read-only."""
         key = ("charge", axis, flops, tiles)
         if key not in self._geo._memo:
             geo = self._geo
             points = geo.points if axis is None else geo.slab_sums(axis)[0]
-            values, inverse = np.unique(points, return_inverse=True)
-            seconds = np.array([
-                self.machine.compute_time(n, flops, tiles=tiles)
-                for n in values.tolist()
-            ])[inverse.ravel()].reshape(points.shape)
+            seconds = compute_charge(self.machine, points, flops, tiles)
             seconds.flags.writeable = False
             geo._memo[key] = seconds
         return self._geo._memo[key]
@@ -376,7 +397,7 @@ class ScheduleCompiler:
                 None, op.flops_per_point, self.partitioning.tiles_per_rank
             ),
             points=self._geo.points,
-            site=(index, 0, self._geo.tiles),
+            site=_StepSite(index, 0, self._geo.tiles),
         )
 
     def _sweep(self, index, op, steps):
@@ -411,13 +432,15 @@ class ScheduleCompiler:
             flat = order[:, slab]
             return [
                 (row * 1_000_000 + flat[:, i] + offset, flat[:, i],
-                 (index, phase, functools.partial(geo.tile, axis, slab, i)))
+                 _StepSite(index, phase,
+                           functools.partial(geo.tile, axis, slab, i)))
                 for i in range(per_slab)
             ]
 
         for phase in range(gamma):
             slab = gamma - 1 - phase if op.reverse else phase
-            site = (index, phase, functools.partial(geo.slab, axis, slab))
+            slab_tiles = functools.partial(geo.slab, axis, slab)
+            site = _StepSite(index, phase, slab_tiles)
             if phase == 0:
                 pass
             elif self.aggregate:
@@ -475,14 +498,14 @@ class ScheduleCompiler:
                 SendOp, mp._neighbors[(axis, step)],
                 np.full(nprocs, tag_base + 10 * axis + side),
                 width * (planes.sum(axis=1) - planes[:, -1 if step > 0 else 0]),
-                site=(index, 2 * axis + side,
-                      functools.partial(geo.halo, axis, step)),
+                site=_StepSite(index, 2 * axis + side,
+                               functools.partial(geo.halo, axis, step)),
             ))
         for sent, (axis, side, step, width) in enumerate(halo, first):
             steps.append(Step(
                 RecvOp, mp._neighbors[(axis, -step)],
                 np.full(nprocs, tag_base + 10 * axis + side), match=sent,
-                site=(index, 2 * axis + side,
-                      functools.partial(geo.halo, axis, -step)),
+                site=_StepSite(index, 2 * axis + side,
+                               functools.partial(geo.halo, axis, -step)),
             ))
         steps.append(self._whole(index, op))

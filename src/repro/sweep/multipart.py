@@ -11,59 +11,36 @@ Setting ``aggregate=False`` sends one message per tile instead (the ablation
 of that optimization).
 
 The executor compiles a :mod:`repro.sweep.ops` schedule once into a
-lockstep program over all ranks (:mod:`repro.sweep.compile`) and runs it in
-one of two modes over that same compiled program:
-
-* **real-data mode** (``payload="data"``) interprets each rank's ops (the
-  per-rank tuples derived from the lockstep program): the
-  numpy kernels run at compute entries and the carry/halo payloads are
-  packed at sends and unpacked at receives.  It returns both the
-  reassembled global array (verified against the sequential reference in
-  the tests) and the simulator's :class:`RunResult` (virtual time, message
-  and byte counts).
-* **skeleton mode** (``payload="skeleton"``, or :meth:`MultipartExecutor
-  .run_skeleton` directly) times the compiled ops as they are: declared
-  byte counts (:class:`~repro.simmpi.message.Bytes`) and compute charges
-  from tile geometry, no scatter, scan or gather.  That is what lets
-  class-A/B (64^3 / 102^3) problems at p <= 64 simulate in seconds: the
-  paper's Table 1 claims are about communication structure and timing,
-  none of which needs the payload data.  A fault-free, unobserved run on
-  a non-bus machine times a paired lockstep program itself with
-  :func:`~repro.simmpi.engine.replay_lockstep`, one numpy step per op
-  index for all ranks, and builds no per-rank ops; every other run
-  replays the per-rank ops through the engine.
-
-Both modes issue the identical op sequence, so their clocks, makespan,
-message counts and byte totals agree bit for bit.
+lockstep program over all ranks (:mod:`repro.sweep.compile`), and
+:mod:`repro.sweep.driver` runs and times it as it does every strategy's.
+What stays here is the real-data interpreter (``payload="data"``): the
+numpy kernels run at compute entries and the carry/halo payloads are
+packed at sends and unpacked at receives; and the view the engine runs,
+with the phase marks when a trace or a sink observes the run.  Skeleton
+mode (``payload="skeleton"``, or ``run_skeleton`` directly) times the same
+ops from tile geometry alone, which is what lets class-B/C problems
+simulate in seconds: the paper's Table 1 claims are about communication
+structure and timing, none of which needs the payload data.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
 import numpy as np
 
 from repro.core.mapping import Multipartitioning
-from repro.faults.inject import FaultInjector
-from repro.faults.plan import FaultPlan
-from repro.faults.protocol import ProtocolConfig, ReliableComm
 from repro.simmpi.comm import Comm
-from repro.simmpi.engine import replay_lockstep, replayable, run_programs
 from repro.simmpi.machine import MachineModel
 from repro.simmpi.message import RecvOp, SendOp
-from repro.simmpi.trace import RunResult
 
 from .compile import CompiledSchedule, ScheduleCompiler, Site, neighbor_tile
-from .ops import (
-    BlockSweepOp,
-    StencilOp,
-    SweepOp,
-    apply_local_op,
-    as_named,
-    scan_op,
-    unwrap_named,
-)
+from .driver import Executor
+from .ops import BlockSweepOp, StencilOp, SweepOp, apply_local_op, scan_op
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
+    from repro.faults.protocol import ProtocolConfig
 
 __all__ = ["MultipartExecutor", "best_processor_count"]
 
@@ -98,7 +75,7 @@ class _FacePayload:
         return iter(self.items)
 
 
-class MultipartExecutor:
+class MultipartExecutor(Executor):
     """Runs sweep schedules on a multipartitioned distributed array."""
 
     def __init__(
@@ -129,6 +106,7 @@ class MultipartExecutor:
                 "reliable-delivery protocol (pass protocol=ProtocolConfig())"
             )
         self.partitioning = partitioning
+        self.nprocs = partitioning.nprocs
         self.machine = machine
         self.aggregate = aggregate
         self.record_events = record_events
@@ -140,54 +118,7 @@ class MultipartExecutor:
             partitioning, shape, machine, aggregate
         )
         self.grid = self._compiler.grid
-
-    # -- fault / protocol plumbing --------------------------------------------
-
-    def _make_comm(self, rank: int) -> Comm:
-        """Plain communicator, or the reliable-delivery wrapper when a
-        protocol config is attached."""
-        nprocs = self.partitioning.nprocs
-        if self.protocol is not None:
-            return ReliableComm(rank, nprocs, self.protocol)
-        return Comm(rank, nprocs)
-
-    @staticmethod
-    def _finalized(comm: "ReliableComm", inner: Generator) -> Generator:
-        """Run ``inner``, then linger re-acking stray retransmissions until
-        every rank is done (see :meth:`ReliableComm.finalize`)."""
-        result = yield from inner
-        yield from comm.finalize()
-        return result
-
-    def _execute(self, comms: "list[Comm]", programs: list) -> RunResult:
-        """Run the rank programs on the engine, with the fault injector and
-        the protocol's finalization and counters when configured."""
-        if self.protocol is not None:
-            programs = [
-                self._finalized(comm, prog)
-                for comm, prog in zip(comms, programs)
-            ]
-        injector = (
-            None if self.faults is None
-            else FaultInjector(self.faults, self.partitioning.nprocs)
-        )
-        result = run_programs(
-            self.machine, programs, record_events=self.record_events,
-            sinks=self.sinks, faults=injector,
-        )
-        if self.protocol is None:
-            return result
-        # fold per-rank ReliableComm counters into the result
-        stats = {
-            key: sum(
-                comm.stats[key]  # type: ignore[attr-defined]
-                for comm in comms
-            )
-            for key in comms[0].stats  # type: ignore[attr-defined]
-        }
-        return dataclasses.replace(result, protocol_stats=stats)
-
-    # -- public API -----------------------------------------------------------
+        self.layout = (self.grid, partitioning.owner)
 
     def compile(self, schedule) -> CompiledSchedule:
         """Every rank's op list for ``schedule`` (see
@@ -202,96 +133,10 @@ class MultipartExecutor:
             return compiled.marked[rank]
         return compiled.ops[rank], compiled.sites[rank]
 
-    def run(self, arrays, schedule) -> "tuple":
-        """Distribute the array(s), execute ``schedule`` on all simulated
-        ranks, reassemble and return ``(result, run_result)``.
+    def _ops(self, compiled: CompiledSchedule, rank: int) -> tuple:
+        return self._program(compiled, rank)[0]
 
-        ``arrays`` is a single numpy array (ops default to array "u"; a
-        single array comes back) or a dict of aligned same-shape arrays.
-
-        In skeleton mode the data (if any) is ignored entirely and the
-        result array is ``None`` — see :meth:`run_skeleton`.
-        """
-        if self.payload == "skeleton":
-            return None, self.run_skeleton(schedule)
-        single, named = as_named(arrays)
-        mp = self.partitioning
-        per_rank_named: list[dict] = [
-            {} for _ in range(mp.nprocs)
-        ]
-        for name, array in named.items():
-            array = np.asarray(array, dtype=np.float64)
-            scattered = self.grid.scatter(array, mp.owner, mp.nprocs)
-            for rank in range(mp.nprocs):
-                per_rank_named[rank][name] = scattered[rank]
-        compiled = self.compile(schedule)
-        comms = [self._make_comm(rank) for rank in range(mp.nprocs)]
-        result = self._execute(comms, [
-            self._interpret(comms[rank], compiled, per_rank_named[rank])
-            for rank in range(mp.nprocs)
-        ])
-        out = {
-            name: self.grid.gather(
-                [per_rank_named[rank][name] for rank in range(mp.nprocs)]
-            )
-            for name in named
-        }
-        return unwrap_named(single, out), result
-
-    def run_skeleton(self, schedule) -> "RunResult":
-        """Execute ``schedule`` payload-free and return the
-        :class:`~repro.simmpi.trace.RunResult` only.
-
-        The same compiled ops :meth:`run` interprets — same sends (by tag
-        and byte count), receives, compute durations and, when observed,
-        phase marks — are timed, so clocks, makespan, message counts, and
-        byte totals match real-data mode bit-for-bit; only the array
-        contents are absent.
-        With no faults, protocol or observers on a non-bus machine a
-        paired lockstep program goes through
-        :func:`~repro.simmpi.engine.replay_lockstep`, which gives the
-        engine's result without its event loop or per-rank ops."""
-        compiled = self.compile(schedule)
-        observed = (
-            self.faults is not None or self.protocol is not None
-            or self.record_events or bool(self.sinks)
-        )
-        if replayable(self.machine, compiled.lockstep, observed):
-            return replay_lockstep(self.machine, compiled.lockstep)
-        comms = [
-            self._make_comm(rank) for rank in range(self.partitioning.nprocs)
-        ]
-        return self._execute(comms, [
-            self._replay(comm, self._program(compiled, comm.rank)[0])
-            for comm in comms
-        ])
-
-    def skeleton_rank_program(self, rank: int, schedule) -> Generator:
-        """One rank's payload-free program as a fresh generator replaying
-        the ops the engine would run for it."""
-        ops, _ = self._program(self.compile(schedule), rank)
-        return self._replay(Comm(rank, self.partitioning.nprocs), ops)
-
-    # -- rank programs --------------------------------------------------------
-
-    @staticmethod
-    def _replay(comm: Comm, ops: tuple) -> Generator:
-        """Yield one rank's compiled ops.  A plain :class:`Comm` would
-        yield exactly these ops from its verbs, so they pass straight
-        through; a wrapper such as :class:`ReliableComm` gets every send
-        and receive through its own verbs."""
-        if type(comm) is Comm:
-            for op in ops:
-                yield op
-        else:
-            for op in ops:
-                cls = op.__class__
-                if cls is SendOp:
-                    yield from comm.send(op.payload, op.dest, op.tag)
-                elif cls is RecvOp:
-                    yield from comm.recv(op.source, op.tag)
-                else:
-                    yield op
+    # -- real-data rank program ----------------------------------------------
 
     def _interpret(
         self,

@@ -8,9 +8,9 @@ there.  To sweep along ``part_axis`` itself the data is redistributed
 ``alt_axis`` is partitioned, the sweep runs locally, and the data is
 transposed back.  The executor overrides only the lowering and
 interpretation of that sweep: pack, one full send and receive step per
-all-to-all round, the local sweep, pack, and the rounds back.  Both modes
-of :class:`BlockGridExecutor` (real data and skeleton) run the one
-lockstep program.
+all-to-all round, the local sweep, pack, and the rounds back.  The
+executor driver (:mod:`repro.sweep.driver`) runs and times the one
+lockstep program in both modes, real data and skeleton.
 
 This is the strategy's defining trade: perfect efficiency during each sweep,
 paid for by two all-to-alls moving (almost) the whole array per swept
@@ -68,6 +68,7 @@ class TransposeExecutor(BlockGridExecutor):
         )
         self.part_axis = part_axis
         self.alt_axis = alt_axis
+        self._part_spans = axis_extents(shape[part_axis], nprocs)
         self._alt_spans = axis_extents(shape[alt_axis], nprocs)
         #: every rank's share while ``part_axis`` is local: the whole array
         #: cut along ``alt_axis``, (nprocs, ndim)
@@ -79,7 +80,7 @@ class TransposeExecutor(BlockGridExecutor):
         the array they fill: forward, the block's ``alt_axis`` pieces fill
         the work array along ``part_axis``; back, the other way round."""
         alt = (self.alt_axis, self._alt_spans)
-        part = (self.part_axis, self._spans[self.part_axis])
+        part = (self.part_axis, self._part_spans)
         return (alt, part) if stage == "forward" else (part, alt)
 
     def _cut_sweep(self, index: int, op, axis: int, steps: list) -> None:

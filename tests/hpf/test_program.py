@@ -84,6 +84,18 @@ class TestRun:
         out, _ = compiled.run(field, machine)
         assert np.allclose(out, ref, atol=1e-12)
 
+    def test_block_grid_runs_on_the_resolved_processor_grid(self, machine):
+        """Two BLOCK axes run on the resolved ``(2, 2, 1)`` grid, equal
+        to the sequential reference bit for bit."""
+        formats = (DistFormat.BLOCK, DistFormat.BLOCK, DistFormat.STAR)
+        compiled = compile_program(program(p=4, formats=formats))
+        assert compiled.resolution.proc_grid == (2, 2, 1)
+        field = random_field((12, 12, 12))
+        out, res = compiled.run(field, machine)
+        ref = run_sequential(field, list(compiled.schedule))
+        assert np.abs(out - ref).max() == 0.0
+        assert res.message_count > 0
+
     def test_star_axis_embedding_runs(self, machine):
         shape = (12, 12, 6)
         formats = (DistFormat.MULTI, DistFormat.MULTI, DistFormat.STAR)

@@ -8,10 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import plan_app
 from repro.apps.workloads import random_field
-from repro.simmpi.machine import MachineModel, bus
+from repro.core.api import plan_multipartitioning
+from repro.faults import ZERO_FAULTS, FaultPlan, ProtocolConfig
+from repro.simmpi.machine import (
+    MachineModel,
+    bus,
+    ethernet_cluster,
+    origin2000,
+)
 from repro.sweep import blockgrid
 from repro.sweep.blockgrid import BlockGridExecutor, best_wavefront_chunks
+from repro.sweep.multipart import MultipartExecutor
 from repro.sweep.ops import (
     PointwiseOp,
     StencilOp,
@@ -20,6 +29,7 @@ from repro.sweep.ops import (
     thomas_ops,
 )
 from repro.sweep.sequential import run_sequential
+from repro.sweep.tiles import axis_extents
 from repro.sweep.transpose import TransposeExecutor
 
 from .block_oracle import blockgrid_time, transpose_time
@@ -128,9 +138,6 @@ class TestBlockGridModel:
         baseline: at class-B scale multipartitioning still beats the
         simulated 2-D block grid at its best chunk count."""
         from repro.apps.sp import sp_class
-        from repro.core.api import plan_multipartitioning
-        from repro.simmpi.machine import origin2000
-        from repro.sweep.multipart import MultipartExecutor
 
         machine = origin2000()
         prob = sp_class("B", steps=1)
@@ -233,23 +240,25 @@ def star_stencil(reach) -> StencilOp:
 
 
 @st.composite
-def block_cases(draw):
+def block_cases(draw, min_procs=1):
     """(machine, shape, grid, transpose (p, part_axis, alt_axis), chunks,
     schedule): a grid cuts one or two axes (trailing unit factors dropped
     or kept), the schedule sweeps every axis forward and backward, with a
     pointwise op and a star stencil whose reach fits every block.  The
-    machine has a scalable network or a bus."""
+    machine has a scalable network or a bus.  ``min_procs=2`` draws only
+    programs that send: each cut factor and the transpose's ``p`` are at
+    least 2."""
     ndim = draw(st.sampled_from([2, 3]))
     shape = tuple(draw(st.integers(4, 9)) for _ in range(ndim))
-    cut = draw(st.lists(st.integers(0, ndim - 1), min_size=1, max_size=2,
-                        unique=True))
+    # a slice of a permutation: a unique list would reject repeats
+    cut = draw(st.permutations(range(ndim)))[:draw(st.integers(1, 2))]
     grid = [1] * ndim
     for axis in cut:
-        grid[axis] = draw(st.integers(1, 3))
+        grid[axis] = draw(st.integers(min_procs, 3))
     length = draw(st.integers(max(cut) + 1, ndim))
     grid = tuple(grid[:length])
     part, alt = draw(st.permutations(range(ndim)))[:2]
-    p = draw(st.integers(1, 3))
+    p = draw(st.integers(min_procs, 3))
     chunks = draw(st.integers(1, min(n // g for n, g in zip(shape, grid))))
     ops = [
         SweepOp(axis=axis, mult=mult, reverse=reverse)
@@ -263,11 +272,14 @@ def block_cases(draw):
             for _ in range(ndim)
         ]),
     ]
-    machine = draw(st.sampled_from([MachineModel(tile_overhead=1e-6), bus()]))
-    return (
-        machine, shape, grid, (p, part, alt), chunks,
-        draw(st.permutations(ops)),
-    )
+    machine = draw(st.sampled_from([
+        MachineModel(tile_overhead=1e-6), origin2000(), ethernet_cluster(),
+        bus(),
+    ]))
+    # the ops in drawn order, one pick at a time (a permutation strategy
+    # rejects some of its draws)
+    order = [ops.pop(draw(st.integers(0, len(ops) - 1))) for _ in ops[:]]
+    return machine, shape, grid, (p, part, alt), chunks, order
 
 
 #: every number of a RunResult the skeleton must reproduce exactly
@@ -277,28 +289,38 @@ RESULT_FIELDS = (
 )
 
 
-def assert_skeleton_equals(executor, sched, real):
-    """``run_skeleton`` replays what ``run`` interpreted: every number of
-    the result, and with ``record_events`` every trace event, is equal."""
-    skeleton = executor.run_skeleton(sched)
+def assert_results_equal(run, real):
     for field in RESULT_FIELDS:
-        assert getattr(skeleton, field) == getattr(real, field), field
-    assert skeleton.trace.events == real.trace.events
+        assert getattr(run, field) == getattr(real, field), field
+
+
+def assert_skeleton_equals(make, sched, real):
+    """``run_skeleton`` times what ``run`` interpreted, traced (on the
+    engine) and untraced (replayed in lockstep off a bus): every number of
+    the result, and traced every event, is equal."""
+    traced = make(record_events=True).run_skeleton(sched)
+    assert_results_equal(traced, real)
+    assert traced.trace.events == real.trace.events
+    assert_results_equal(make().run_skeleton(sched), real)
 
 
 class TestBlockExecutorsProperty:
+    """Every executor, drawn on one case: the data matches the sequential
+    reference and ``run_skeleton`` equals ``run``."""
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(case=block_cases())
     def test_match_sequential_and_count_chain_messages(self, case):
         machine, shape, grid, (p, part, alt), chunks, sched = case
         field = random_field(shape)
         ref = run_sequential(field, sched)
-        executor = BlockGridExecutor(
-            grid, shape, machine, chunks=chunks, record_events=True
-        )
-        out, res = executor.run(field, sched)
+
+        def block(**kw):
+            return BlockGridExecutor(grid, shape, machine, chunks=chunks, **kw)
+
+        out, res = block(record_events=True).run(field, sched)
         assert np.allclose(out, ref, atol=1e-12)
-        assert_skeleton_equals(executor, sched, res)
+        assert_skeleton_equals(block, sched, res)
         nprocs = math.prod(grid)
         sent = Counter(
             e.tag // 100_000 - 1 for e in res.trace.events if e.kind == "send"
@@ -318,10 +340,90 @@ class TestBlockExecutorsProperty:
             )
             assert sent[index] == expected, (index, op)
 
-        executor = TransposeExecutor(
-            p, shape, machine, part_axis=part, alt_axis=alt,
-            record_events=True,
-        )
-        out, res = executor.run(field, sched)
+        def transpose(**kw):
+            return TransposeExecutor(
+                p, shape, machine, part_axis=part, alt_axis=alt, **kw
+            )
+
+        out, res = transpose(record_events=True).run(field, sched)
         assert np.allclose(out, ref, atol=1e-12)
-        assert_skeleton_equals(executor, sched, res)
+        assert_skeleton_equals(transpose, sched, res)
+
+        partitioning = plan_multipartitioning(shape, p).partitioning
+        for aggregate in (True, False):
+            def multipart(**kw):
+                return MultipartExecutor(
+                    partitioning, shape, machine, aggregate=aggregate, **kw
+                )
+
+            out, res = multipart(record_events=True).run(field, sched)
+            assert np.allclose(out, ref, atol=1e-12)
+            assert_skeleton_equals(multipart, sched, res)
+            # a zero-rate plan changes nothing; a lossy one only the
+            # protocol's traffic, never the data
+            zero_out, zero = multipart(
+                record_events=True, faults=ZERO_FAULTS
+            ).run(field, sched)
+            assert np.array_equal(zero_out, out)
+            assert_results_equal(zero, res)
+            assert zero.trace.events == res.trace.events
+            lossy_out, lossy = multipart(
+                faults=FaultPlan(drop_rate=0.2, seed=len(sched)),
+                protocol=ProtocolConfig(),
+            ).run(field, sched)
+            assert np.array_equal(lossy_out, out)
+            assert lossy.protocol_stats["data_sent"] == res.message_count
+
+
+@pytest.mark.parametrize(
+    "app, shape, p, machine, aggregate, drop, stats, makespan", [
+    ("sp", (12, 12, 12), 4, origin2000, True, 0.1,
+     (48, 13, 22, 7, 48, 12), 0.16049818666666685),
+    ("adi", (9, 7, 11), 6, ethernet_cluster, False, 0.05,
+     (144, 21, 32, 14, 144, 19), 0.1166332899999996),
+    ("bt", (8, 8, 8), 9, bus, True, 0.1,
+     (108, 22, 36, 13, 108, 19), 0.12666501333333352),
+    ],
+)
+def test_lossy_multipart_runs_keep_data_and_protocol_counters(
+    app, shape, p, machine, aggregate, drop, stats, makespan
+):
+    """Under a lossy plan with the reliable protocol on, a real-data
+    multipartitioned run equals the sequential reference bit for bit, and
+    its protocol counters and makespan are pinned."""
+    machine = machine()
+    config = plan_app(app, shape, p, cost_model=machine.to_cost_model())
+    sched = config.problem.schedule()
+    field = random_field(config.problem.field_shape, seed=7)
+    out, res = MultipartExecutor(
+        config.partitioning, config.problem.field_shape, machine,
+        aggregate=aggregate, faults=FaultPlan(drop_rate=drop, seed=11),
+        protocol=ProtocolConfig(),
+    ).run(field, sched)
+    assert np.abs(out - run_sequential(field, sched)).max() == 0.0
+    assert res.protocol_stats == dict(zip(
+        ("data_sent", "retransmits", "timeouts", "duplicates_dropped",
+         "acks", "nacks"), stats,
+    ))
+    assert res.makespan == makespan
+
+
+@pytest.mark.parametrize("grid, shape", [
+    ((4,), (11, 6)), ((3, 2), (10, 7, 5)), ((1, 5), (6, 13)),
+    ((2, 3, 2), (7, 11, 5)),
+])
+def test_block_layout_is_the_tile_grid(grid, shape):
+    """Rank ``r`` of a block grid owns the tile at its C-order grid
+    coordinates, cut by the BLOCK remainder rule: the block ``run``
+    scatters and gathers."""
+    executor = BlockGridExecutor(grid, shape, origin2000())
+    tiles, owner = executor.layout
+    field = random_field(shape)
+    full = grid + (1,) * (len(shape) - len(grid))
+    for rank, blocks in enumerate(tiles.scatter(field, owner, len(owner.flat))):
+        at = np.unravel_index(rank, full)
+        sel = tuple(
+            slice(*axis_extents(n, g)[c]) for n, g, c in zip(shape, full, at)
+        )
+        assert list(blocks) == [tuple(map(int, at))]
+        assert np.array_equal(blocks[tuple(map(int, at))], field[sel])

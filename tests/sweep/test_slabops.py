@@ -4,8 +4,15 @@ normalization."""
 import numpy as np
 import pytest
 
-from repro.sweep.ops import BinaryPointwiseOp, CopyOp, PointwiseOp, SweepOp
-from repro.sweep.blockgrid import apply_local_op, as_named, unwrap_named
+from repro.sweep.ops import (
+    BinaryPointwiseOp,
+    CopyOp,
+    PointwiseOp,
+    SweepOp,
+    apply_local_op,
+    as_named,
+    unwrap_named,
+)
 
 
 def run_local(op, slabs):

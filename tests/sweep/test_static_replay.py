@@ -27,6 +27,7 @@ from repro.simmpi.engine import (
     SimDeadlockError,
     Step,
     replay_lockstep,
+    replayable,
     run_programs,
 )
 from repro.simmpi.machine import (
@@ -38,11 +39,12 @@ from repro.simmpi.machine import (
 from repro.simmpi.message import Bytes, ComputeOp, MarkOp, RecvOp, SendOp
 from repro.simmpi.summary import RunSummary
 from repro.simmpi.topology import topology_for
-from repro.sweep import blockgrid, multipart
+from repro.sweep import driver
 from repro.sweep.blockgrid import BlockGridExecutor
 from repro.sweep.multipart import MultipartExecutor
 from repro.sweep.ops import PointwiseOp, StencilOp
 from repro.sweep.transpose import TransposeExecutor
+from repro.verify import ProgramIR
 
 from .block_oracle import _msg_time
 from .test_blockgrid import block_cases
@@ -302,8 +304,9 @@ def loop_paired(program):
     ]
 
 
-def compiled_steps(data):
-    """A compiled multipartitioned program's steps: every step full."""
+def compiled_steps(data, min_procs):
+    """A compiled multipartitioned program's steps: every step full, and
+    at p >= 2 every program sends."""
     app = data.draw(st.sampled_from(["sp", "bt", "adi"]))
     p = data.draw(st.sampled_from([2, 3, 4, 6, 8, 9]))
     config = plan_app(app, (8, 8, 8), p)
@@ -313,10 +316,13 @@ def compiled_steps(data):
     ).compile(config.problem.schedule()).lockstep.steps), p
 
 
-def block_steps(data):
+def block_steps(data, min_procs):
     """A block baseline's program: a wavefront or 2-D grid, or a
-    transpose, whose masked steps run on some ranks only."""
-    _, shape, grid, (p, part, alt), chunks, sched = data.draw(block_cases())
+    transpose, whose masked steps run on some ranks only; with
+    ``min_procs=2`` one that sends."""
+    _, shape, grid, (p, part, alt), chunks, sched = data.draw(
+        block_cases(min_procs)
+    )
     if data.draw(st.booleans()):
         executor = BlockGridExecutor(grid, shape, origin2000(), chunks=chunks)
     else:
@@ -328,6 +334,9 @@ def block_steps(data):
 
 
 _VECTORS = ("peer", "tag", "nbytes", "seconds", "points")
+#: the step kind each corruption changes (``None``: any step)
+_TARGET = {"peer": SendOp, "tag": SendOp, "source": RecvOp,
+           "match": RecvOp, "active": None}
 
 
 @settings(derandomize=True, deadline=None, max_examples=160)
@@ -340,20 +349,18 @@ _VECTORS = ("peer", "tag", "nbytes", "seconds", "points")
 )
 def test_pairing_equals_per_receive_loop(draw_steps, corrupt, data):
     """A compiled or block-lowered program, clean or with one step
-    corrupted, is paired exactly when the per-receive loop says so."""
-    steps, p = draw_steps(data)
-    kind = {"peer": SendOp, "tag": SendOp, "active": None}.get(
-        corrupt, RecvOp
-    )
-    candidates = [
-        i for i, step in enumerate(steps)
-        if kind is None or step.kind is kind
-    ]
-    assume(candidates)
-    at = data.draw(st.sampled_from(candidates))
-    step = steps[at]
-    width = len(Lockstep(tuple(steps), p).ranks(step))
-    entry = data.draw(st.integers(0, width - 1))  # one rank's position
+    corrupted, is paired exactly when the per-receive loop says so.  A
+    corruption of a send or receive draws only programs that send."""
+    kind = _TARGET.get(corrupt)
+    steps, p = draw_steps(data, 1 if kind is None else 2)
+    if corrupt in _TARGET:
+        at = data.draw(st.sampled_from([
+            i for i, step in enumerate(steps)
+            if kind is None or step.kind is kind
+        ]))
+        step = steps[at]
+        width = len(Lockstep(tuple(steps), p).ranks(step))
+        entry = data.draw(st.integers(0, width - 1))  # one rank's position
     if corrupt == "peer":
         peer = step.peer.copy()
         peer[entry] = data.draw(st.integers(0, p))
@@ -449,7 +456,7 @@ class TestBlockDispatch:
             seen.append(program.nprocs)
             return replay_lockstep(machine, program)
 
-        monkeypatch.setattr(blockgrid, "replay_lockstep", spy)
+        monkeypatch.setattr(driver, "replay_lockstep", spy)
         return seen
 
     @pytest.mark.parametrize("make", [
@@ -515,7 +522,7 @@ class TestDispatch:
             seen.append(program.nprocs)
             return replay_lockstep(machine, program)
 
-        monkeypatch.setattr(multipart, "replay_lockstep", spy)
+        monkeypatch.setattr(driver, "replay_lockstep", spy)
         return seen
 
     def _run(self, machine=None, **kw):
@@ -568,6 +575,85 @@ class TestDispatch:
         static = RunSummary.from_result(self._run())
         traced = RunSummary.from_result(self._run(record_events=True))
         assert json.dumps(static.to_dict()) == json.dumps(traced.to_dict())
+
+
+class TestPairingOnDemand:
+    """``Lockstep.paired`` and the ``messages`` table it reads are
+    computed only when a replay or the verifier asks."""
+
+    SHAPE = (9, 8, 7)
+    SCHEDULE = SPProblem(SHAPE, stencil_rhs=True).schedule()
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        def refuse(program):
+            raise AssertionError("the pairing check ran")
+
+        monkeypatch.setattr(Lockstep, "messages", property(refuse))
+        monkeypatch.setattr(Lockstep, "paired", property(refuse))
+
+    @classmethod
+    def executors(cls, machine=None, **kw):
+        machine = machine or origin2000()
+        config = plan_app("sp", cls.SHAPE, 4)
+        yield MultipartExecutor(
+            config.partitioning, config.problem.field_shape, machine, **kw
+        )
+        yield BlockGridExecutor((2, 2), cls.SHAPE, machine, **kw)
+        yield TransposeExecutor(4, cls.SHAPE, machine, **kw)
+
+    @pytest.mark.parametrize("record_events", [False, True])
+    def test_real_data_runs_never_pair(self, refused, record_events):
+        field = np.arange(math.prod(self.SHAPE), dtype=float).reshape(
+            self.SHAPE
+        )
+        for executor in self.executors(record_events=record_events):
+            executor.run(field, self.SCHEDULE)
+
+    def test_engine_runs_never_pair(self, refused):
+        for executor in self.executors(record_events=True):
+            executor.run_skeleton(self.SCHEDULE)
+        for executor in self.executors(bus()):
+            executor.run_skeleton(self.SCHEDULE)
+        config = plan_app("sp", self.SHAPE, 4)
+        MultipartExecutor(
+            config.partitioning, config.problem.field_shape, origin2000(),
+            faults=ZERO_FAULTS, payload="skeleton",
+        ).run_skeleton(self.SCHEDULE)
+
+    def test_compiled_program_is_left_unpaired(self):
+        config = plan_app("sp", self.SHAPE, 4)
+        executor = MultipartExecutor(
+            config.partitioning, config.problem.field_shape, origin2000()
+        )
+        executor.run(np.ones(self.SHAPE), self.SCHEDULE)
+        program = executor.compile(self.SCHEDULE).lockstep
+        assert "messages" not in vars(program)
+        assert "paired" not in vars(program)
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_every_reader_sees_one_value(self, corrupt):
+        """``replayable``, ``replay_lockstep`` and ``ProgramIR.paired``
+        agree with ``Lockstep.paired``, on clean and unpaired programs."""
+        for executor in self.executors():
+            steps = list(executor.compile(self.SCHEDULE).lockstep.steps)
+            if corrupt:  # the first receive names the wrong send
+                at = next(i for i, s in enumerate(steps) if s.kind is RecvOp)
+                steps[at] = steps[at]._replace(match=-1)
+            program = Lockstep(tuple(steps), executor.nprocs)
+            assert program.paired is not corrupt
+            assert replayable(origin2000(), program, False) is program.paired
+            assert ProgramIR(
+                program.nprocs, lockstep=program
+            ).paired is program.paired
+            if corrupt:
+                with pytest.raises(ValueError, match="paired"):
+                    replay_lockstep(origin2000(), program)
+            else:
+                assert_identical(
+                    replay_lockstep(origin2000(), program),
+                    _engine_replay(origin2000(), program.rank_ops()),
+                )
 
 
 def section_3_1_time(shape, partitioning, machine, schedule) -> float:
